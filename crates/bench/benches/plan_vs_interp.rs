@@ -1,9 +1,9 @@
-//! Compiled execution plans vs the tree-walking interpreter on the
-//! Table-1 MLP workloads (f32 and int8), single- and multi-threaded.
+//! Compiled execution plans vs the reference walker (`--interpret`) on
+//! the Table-1 MLP workloads (f32 and int8), single- and multi-threaded.
 //! This is the benchmark backing the plan layer's reason to exist: the
 //! steady-state speedup from killing per-iteration interpretation
-//! overhead (offset re-evaluation, brgemm table rebuilds, bounds
-//! checks, per-iteration variable cloning).
+//! overhead (offset re-evaluation, intrinsic lowering and brgemm table
+//! rebuilds, run-time bounds checks, per-iteration variable cloning).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gc_bench::workloads::{self, random_inputs};

@@ -43,14 +43,14 @@ pub struct CompileOptions {
     pub k_slice: bool,
     /// Worker threads for execution (None = host parallelism).
     pub threads: Option<usize>,
-    /// Run the main stage on the tree-walking interpreter instead of
+    /// Run the init and main stages on the reference walker instead of
     /// compiled execution plans (`--interpret`; the reference path for
     /// differential testing).
     pub interpret: bool,
     /// Run the Tensor IR validator after every lowering-time
     /// optimization pass; a failed check aborts compilation with an
     /// error naming the guilty pass. Cheap (microseconds per function),
-    /// on by default.
+    /// on by default. The final lowered module is validated either way.
     pub validate: bool,
     /// Checked execution: assert at runtime that every evaluated plan
     /// offset lands in-bounds (debug mode; costs address-arithmetic

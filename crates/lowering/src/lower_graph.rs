@@ -71,7 +71,7 @@ pub struct LowerOptions {
     pub reuse_locals: bool,
     /// Run the Tensor IR validator after every optimization pass; a
     /// failed check aborts lowering with an error naming the pass that
-    /// broke the module.
+    /// broke the module. The final module is validated either way.
     pub validate: bool,
     /// Force the post-op anchor (ablation).
     pub forced_post_anchor: Option<crate::anchors::PostOpAnchor>,
@@ -370,12 +370,10 @@ pub fn lower_partitions(
                 .map_err(|e| err(format!("validator after reuse_module_scratch: {e}")))?;
         }
     }
-    if opts.validate {
-        validate_module(&b.module).map_err(|e| err(format!("validator after lowering: {e}")))?;
-    }
-    b.module
-        .validate()
-        .map_err(|e| err(format!("module validation: {e}")))?;
+    // Always validate the final module, whatever `opts.validate` says:
+    // plan compilation is total only on validator-clean modules, so an
+    // invalid one must fail here as an error, not later as a panic.
+    validate_module(&b.module).map_err(|e| err(format!("validator after lowering: {e}")))?;
 
     Ok(Lowered {
         module: b.module,

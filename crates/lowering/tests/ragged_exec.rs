@@ -241,14 +241,15 @@ fn int8_ragged_plan_matches_interpreter_bitexact() {
             Storage::U8(vec![0; m * n]),
         ];
 
-        // Interpreter.
+        // Reference walker.
         let interp = run(&spec, inputs.clone());
 
         // Checked plan executor on the same module.
         let (module, fi) = build_module(&spec);
         let plan = compile_module(&module, 1);
-        assert!(
-            plan.func(fi).is_some(),
+        assert_eq!(
+            plan.stats().compiled_funcs,
+            module.funcs.len(),
             "ragged template must compile to a plan"
         );
         let pool = ThreadPool::new(1);

@@ -2,27 +2,27 @@
 //!
 //! [`compile_module`] lowers every function of a [`Module`] into the
 //! [`crate::plan`] representation, performing at build time the work the
-//! interpreter repeats per iteration:
+//! reference walker repeats per iteration:
 //!
 //! - **offset strength reduction** — every [`Expr`] offset is reduced to
 //!   `base + Σ stride_v · var_v` when affine, or a flat postfix program
 //!   when it contains `div`/`rem`;
 //! - **bounds hoisting** — interval analysis over loop extents proves
 //!   each view access in bounds for *all* iterations, so the compiled
-//!   path does no per-access checking (a dtype mismatch or unprovable
-//!   bound rejects the function instead);
+//!   path does no per-access checking;
 //! - **brgemm table precomputation** — batch-offset tables depend only
 //!   on static strides, so they are materialized once per op;
 //! - **grain selection** — each parallel loop stores the chunk size the
 //!   pool should dispatch, computed from the thread count;
 //! - **dispatch-worthiness** — a parallel loop whose *total* work (from
 //!   the static shapes of every op it encloses) is smaller than the cost
-//!   of waking the pool is demoted to a serial loop. The interpreter
+//!   of waking the pool is demoted to a serial loop. The reference walker
 //!   discovers loop bodies one iteration at a time and cannot make this
 //!   call.
 //!
-//! Rejected functions (`None` in the result) run on the interpreter —
-//! correctness never depends on compilation succeeding.
+//! The same intrinsic lowering (`Lower::lower_intrinsic`) also feeds
+//! the reference walker, which keeps the IR's `Expr` offsets instead of
+//! compiling them; the two executors differ only in the offset path.
 
 use crate::expr::{Expr, VarId};
 use crate::ir::{BufId, Func, Intrinsic, Module, Stmt, View};
@@ -34,32 +34,38 @@ use gc_tensor::DataType;
 
 /// Compile every function of `module`; `threads` sizes parallel-loop
 /// grains (pass the executing pool's thread count).
+///
+/// Compilation is total on validator-clean modules: every module that
+/// passes [`crate::validate_module`] compiles, and `gc_lowering`
+/// validates every module it produces.
+///
+/// # Panics
+///
+/// Panics if a function is not validator-clean (the validator reports
+/// the same reason as an error).
 pub fn compile_module(module: &Module, threads: usize) -> Plan {
     let mut stats = PlanStats::default();
     let funcs = module
         .funcs
         .iter()
-        .map(|f| match FuncBuilder::new(f, threads.max(1)).build() {
-            Ok((pf, fs)) => {
-                stats.compiled_funcs += 1;
-                stats.hoisted_bounds += fs.hoisted_bounds;
-                stats.linear_offsets += fs.linear_offsets;
-                stats.program_offsets += fs.program_offsets;
-                stats.brgemm_tables += fs.brgemm_tables;
-                stats.serialized_loops += fs.serialized_loops;
-                Some(pf)
-            }
-            Err(_) => {
-                stats.interpreted_funcs += 1;
-                None
-            }
+        .map(|f| {
+            let (pf, fs) = FuncBuilder::new(f, threads.max(1))
+                .build()
+                .unwrap_or_else(|r| panic!("compile_module: func {}: {r}", f.name));
+            stats.compiled_funcs += 1;
+            stats.hoisted_bounds += fs.hoisted_bounds;
+            stats.linear_offsets += fs.linear_offsets;
+            stats.program_offsets += fs.program_offsets;
+            stats.serialized_loops += fs.serialized_loops;
+            pf
         })
         .collect();
     Plan { funcs, stats }
 }
 
-/// Why a function stays on the interpreter. Internal: the engine only
-/// needs the `Option`, but tests assert on specific reasons.
+/// Why the plan builder cannot compile a function. The validator turns
+/// every reason into an error, so a validator-clean module never hits
+/// one.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub(crate) enum Reject {
     /// More scalar variables than the fixed scratch holds.
@@ -67,7 +73,7 @@ pub(crate) enum Reject {
     /// An offset's range could not be bounded (or overflowed i64).
     Unbounded,
     /// A proven-possible out-of-range access (negative offset or
-    /// overrun) — the interpreter's debug assertions would fire too.
+    /// overrun).
     OutOfBounds,
     /// Buffer dtype disagrees with the intrinsic's access type.
     DtypeMismatch,
@@ -77,11 +83,25 @@ pub(crate) enum Reject {
     LenMismatch,
 }
 
+impl std::fmt::Display for Reject {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str(match self {
+            Reject::TooManyVars => "uses more loop variables than a plan holds (MAX_VARS)",
+            Reject::Unbounded => "an offset cannot be bounded over its loop ranges",
+            Reject::OutOfBounds => "plan builder proves an out-of-bounds access",
+            Reject::DtypeMismatch => "buffer dtype disagrees with an intrinsic's access type",
+            Reject::ProgramTooDeep => {
+                "an offset nests deeper than the plan's evaluation stack (MAX_PROG_STACK)"
+            }
+            Reject::LenMismatch => "intrinsic operand lengths disagree",
+        })
+    }
+}
+
 struct FuncStats {
     hoisted_bounds: usize,
     linear_offsets: usize,
     program_offsets: usize,
-    brgemm_tables: usize,
     serialized_loops: usize,
 }
 
@@ -116,7 +136,6 @@ impl<'f> FuncBuilder<'f> {
                 hoisted_bounds: 0,
                 linear_offsets: 0,
                 program_offsets: 0,
-                brgemm_tables: 0,
                 serialized_loops: 0,
             },
         }
@@ -143,7 +162,7 @@ impl<'f> FuncBuilder<'f> {
         ))
     }
 
-    fn emit_stmts(&mut self, stmts: &[Stmt], out: &mut Vec<PInstr>) -> Result<(), Reject> {
+    fn emit_stmts(&mut self, stmts: &'f [Stmt], out: &mut Vec<PInstr>) -> Result<(), Reject> {
         for s in stmts {
             match s {
                 Stmt::For {
@@ -195,45 +214,12 @@ impl<'f> FuncBuilder<'f> {
                     };
                 }
                 Stmt::Op(intr) => {
-                    let pop = self.compile_intrinsic(intr)?;
+                    let pop = self.lower_intrinsic(intr)?;
                     out.push(PInstr::Op(pop));
                 }
             }
         }
         Ok(())
-    }
-
-    /// Buffer declaration for a [`BufId`]: `(flat index, dtype, elems)`.
-    fn buf_decl(&self, id: BufId) -> (u32, DataType, usize) {
-        match id {
-            BufId::Param(i) => {
-                let d = &self.func.params[i];
-                // Module validation guarantees every bound global has at
-                // least the parameter's declared elems, so the declared
-                // size is the safe hoisting bound.
-                (i as u32, d.dtype, d.elems)
-            }
-            BufId::Local(i) => {
-                let d = &self.func.locals[i];
-                ((self.func.params.len() + i) as u32, d.dtype, d.elems)
-            }
-        }
-    }
-
-    /// Compile an offset expression and prove `0 <= offset` and
-    /// `offset + span <= elems` for all iterations.
-    fn compile_offset(
-        &mut self,
-        offset: &Expr,
-        span: usize,
-        elems: usize,
-    ) -> Result<PlanOffset, Reject> {
-        let (lo, hi) = interval(offset, &self.var_iv).ok_or(Reject::Unbounded)?;
-        if lo < 0 || (hi as i128) + (span as i128) > elems as i128 {
-            return Err(Reject::OutOfBounds);
-        }
-        self.stats.hoisted_bounds += 1;
-        self.reduce_offset(offset)
     }
 
     /// Strength-reduce an already-bounded expression to a
@@ -261,33 +247,95 @@ impl<'f> FuncBuilder<'f> {
         };
         Ok(compiled)
     }
+}
+
+impl<'f> Lower<'f> for FuncBuilder<'f> {
+    type Off = PlanOffset;
+
+    fn func(&self) -> &'f Func {
+        self.func
+    }
+
+    /// Compile an offset expression and prove `0 <= offset` and
+    /// `offset + span <= elems` for all iterations.
+    fn offset(
+        &mut self,
+        offset: &'f Expr,
+        span: usize,
+        elems: usize,
+    ) -> Result<PlanOffset, Reject> {
+        let (lo, hi) = interval(offset, &self.var_iv).ok_or(Reject::Unbounded)?;
+        if lo < 0 || (hi as i128) + (span as i128) > elems as i128 {
+            return Err(Reject::OutOfBounds);
+        }
+        self.stats.hoisted_bounds += 1;
+        self.reduce_offset(offset)
+    }
 
     /// Compile an axis-clamp base expression. The only static
     /// requirement is non-negativity: the upper side is enforced by the
     /// runtime clamp against the logical extent, and the buffer span is
     /// proven separately from the base-excluded offset.
-    fn compile_clamp_base(&mut self, base: &Expr) -> Result<PlanOffset, Reject> {
+    fn clamp_base(&mut self, base: &'f Expr) -> Result<PlanOffset, Reject> {
         let (lo, _) = interval(base, &self.var_iv).ok_or(Reject::Unbounded)?;
         if lo < 0 {
             return Err(Reject::OutOfBounds);
         }
         self.reduce_offset(base)
     }
+}
 
-    /// Compile a view accessed as `dtype` over `span` elements from its
+/// Intrinsic lowering shared by both executors: resolves buffers to flat
+/// slots, checks dtypes and operand lengths, precomputes brgemm tables
+/// and spans, and hands every offset expression to the implementor. The
+/// plan builder compiles offsets (proving bounds); the reference walker
+/// keeps the `Expr`.
+pub(crate) trait Lower<'f> {
+    /// Offset representation of the lowered op.
+    type Off;
+
+    /// The function being lowered.
+    fn func(&self) -> &'f Func;
+
+    /// Lower a buffer offset whose access touches `span` elements of a
+    /// buffer holding `elems`.
+    fn offset(&mut self, offset: &'f Expr, span: usize, elems: usize) -> Result<Self::Off, Reject>;
+
+    /// Lower an axis-clamp base (a scalar index, not a buffer offset).
+    fn clamp_base(&mut self, base: &'f Expr) -> Result<Self::Off, Reject>;
+
+    /// Buffer declaration for a [`BufId`]: `(flat index, dtype, elems)`.
+    fn buf_decl(&self, id: BufId) -> (u32, DataType, usize) {
+        let func = self.func();
+        match id {
+            BufId::Param(i) => {
+                let d = &func.params[i];
+                // Module validation guarantees every bound global has at
+                // least the parameter's declared elems, so the declared
+                // size is the safe hoisting bound.
+                (i as u32, d.dtype, d.elems)
+            }
+            BufId::Local(i) => {
+                let d = &func.locals[i];
+                ((func.params.len() + i) as u32, d.dtype, d.elems)
+            }
+        }
+    }
+
+    /// Lower a view accessed as `dtype` over `span` elements from its
     /// offset (the span actually touched, which for 2-D ops exceeds
     /// `view.len`).
-    fn compile_view_span(
+    fn view_span(
         &mut self,
-        view: &View,
+        view: &'f View,
         dtype: DataType,
         span: usize,
-    ) -> Result<PView, Reject> {
+    ) -> Result<PView<Self::Off>, Reject> {
         let (buf, decl_dtype, elems) = self.buf_decl(view.buf);
         if decl_dtype != dtype {
             return Err(Reject::DtypeMismatch);
         }
-        let offset = self.compile_offset(&view.offset, span, elems)?;
+        let offset = self.offset(&view.offset, span, elems)?;
         Ok(PView {
             buf,
             offset,
@@ -295,12 +343,14 @@ impl<'f> FuncBuilder<'f> {
         })
     }
 
-    fn compile_view(&mut self, view: &View, dtype: DataType) -> Result<PView, Reject> {
-        self.compile_view_span(view, dtype, view.len)
+    /// Lower a view accessed as `dtype` over exactly `view.len` elements.
+    fn view(&mut self, view: &'f View, dtype: DataType) -> Result<PView<Self::Off>, Reject> {
+        self.view_span(view, dtype, view.len)
     }
 
+    /// Lower one intrinsic to a [`POp`] over [`Self::Off`].
     #[allow(clippy::too_many_lines)]
-    fn compile_intrinsic(&mut self, intr: &Intrinsic) -> Result<POp, Reject> {
+    fn lower_intrinsic(&mut self, intr: &'f Intrinsic) -> Result<POp<Self::Off>, Reject> {
         use DataType::{F32, I32, I8, U8};
         Ok(match intr {
             Intrinsic::BrgemmF32 {
@@ -316,11 +366,10 @@ impl<'f> FuncBuilder<'f> {
             } => {
                 let (a_rel, a_span) = batch_table(*batch, *a_stride, m * k);
                 let (b_rel, b_span) = batch_table(*batch, *b_stride, n * k);
-                self.stats.brgemm_tables += 2;
                 POp::BrgemmF32 {
-                    a: self.compile_view_span(a, F32, a_span)?,
-                    b: self.compile_view_span(b, F32, b_span)?,
-                    c: self.compile_view_span(c, F32, m * n)?,
+                    a: self.view_span(a, F32, a_span)?,
+                    b: self.view_span(b, F32, b_span)?,
+                    c: self.view_span(c, F32, m * n)?,
                     shape: BrgemmShape::new(*m, *n, *k),
                     a_rel,
                     b_rel,
@@ -341,11 +390,10 @@ impl<'f> FuncBuilder<'f> {
             } => {
                 let (a_rel, a_span) = batch_table(*batch, *a_stride, m * k);
                 let (b_rel, b_span) = batch_table(*batch, *b_stride, n * k);
-                self.stats.brgemm_tables += 2;
                 POp::BrgemmU8I8 {
-                    a: self.compile_view_span(a, U8, a_span)?,
-                    b: self.compile_view_span(b, I8, b_span)?,
-                    c: self.compile_view_span(c, I32, m * n)?,
+                    a: self.view_span(a, U8, a_span)?,
+                    b: self.view_span(b, I8, b_span)?,
+                    c: self.view_span(c, I32, m * n)?,
                     shape: BrgemmShape::new(*m, *n, *k),
                     a_rel,
                     b_rel,
@@ -354,11 +402,11 @@ impl<'f> FuncBuilder<'f> {
                 }
             }
             Intrinsic::FillF32 { dst, value } => POp::FillF32 {
-                dst: self.compile_view(dst, F32)?,
+                dst: self.view(dst, F32)?,
                 value: *value,
             },
             Intrinsic::ZeroI32 { dst } => POp::ZeroI32 {
-                dst: self.compile_view(dst, I32)?,
+                dst: self.view(dst, I32)?,
             },
             Intrinsic::Pack2D {
                 src,
@@ -375,13 +423,13 @@ impl<'f> FuncBuilder<'f> {
                     return Err(Reject::DtypeMismatch);
                 }
                 let span = strided_span(*rows, *cols, *src_row_stride, *src_col_stride);
-                let src_off = self.compile_offset(src_offset, span, src_elems)?;
+                let src_off = self.offset(src_offset, span, src_elems)?;
                 POp::Pack2D {
                     src_buf,
                     src_offset: src_off,
                     src_row_stride: *src_row_stride,
                     src_col_stride: *src_col_stride,
-                    dst: self.compile_view_span(dst, dst_dtype, rows * cols)?,
+                    dst: self.view_span(dst, dst_dtype, rows * cols)?,
                     rows: *rows,
                     cols: *cols,
                 }
@@ -401,9 +449,9 @@ impl<'f> FuncBuilder<'f> {
                     return Err(Reject::DtypeMismatch);
                 }
                 let span = strided_span(*rows, *cols, *dst_row_stride, *dst_col_stride);
-                let dst_off = self.compile_offset(dst_offset, span, dst_elems)?;
+                let dst_off = self.offset(dst_offset, span, dst_elems)?;
                 POp::Unpack2D {
-                    src: self.compile_view_span(src, src_dtype, rows * cols)?,
+                    src: self.view_span(src, src_dtype, rows * cols)?,
                     dst_buf,
                     dst_offset: dst_off,
                     dst_row_stride: *dst_row_stride,
@@ -436,18 +484,18 @@ impl<'f> FuncBuilder<'f> {
                     *src_row_stride,
                     *src_col_stride,
                 );
-                let src_off = self.compile_offset(src_offset, span, src_elems)?;
+                let src_off = self.offset(src_offset, span, src_elems)?;
                 POp::Pack2DPad {
                     src_buf,
                     src_offset: src_off,
                     src_row_stride: *src_row_stride,
                     src_col_stride: *src_col_stride,
-                    dst: self.compile_view_span(dst, dst_dtype, rows * cols)?,
+                    dst: self.view_span(dst, dst_dtype, rows * cols)?,
                     rows: *rows,
                     cols: *cols,
-                    row_base: self.compile_clamp_base(&row_clamp.base)?,
+                    row_base: self.clamp_base(&row_clamp.base)?,
                     row_logical: row_clamp.logical,
-                    col_base: self.compile_clamp_base(&col_clamp.base)?,
+                    col_base: self.clamp_base(&col_clamp.base)?,
                     col_logical: col_clamp.logical,
                 }
             }
@@ -473,18 +521,18 @@ impl<'f> FuncBuilder<'f> {
                     *dst_row_stride,
                     *dst_col_stride,
                 );
-                let dst_off = self.compile_offset(dst_offset, span, dst_elems)?;
+                let dst_off = self.offset(dst_offset, span, dst_elems)?;
                 POp::Unpack2DClamp {
-                    src: self.compile_view_span(src, src_dtype, rows * cols)?,
+                    src: self.view_span(src, src_dtype, rows * cols)?,
                     dst_buf,
                     dst_offset: dst_off,
                     dst_row_stride: *dst_row_stride,
                     dst_col_stride: *dst_col_stride,
                     rows: *rows,
                     cols: *cols,
-                    row_base: self.compile_clamp_base(&row_clamp.base)?,
+                    row_base: self.clamp_base(&row_clamp.base)?,
                     row_logical: row_clamp.logical,
-                    col_base: self.compile_clamp_base(&col_clamp.base)?,
+                    col_base: self.clamp_base(&col_clamp.base)?,
                     col_logical: col_clamp.logical,
                 }
             }
@@ -502,17 +550,16 @@ impl<'f> FuncBuilder<'f> {
             } => {
                 let (a_rel, a_span) = batch_table(*batch, *a_stride, m * k);
                 let (b_rel, b_span) = batch_table(*batch, *b_stride, n * k);
-                self.stats.brgemm_tables += 2;
                 POp::BrgemmF32Tail {
-                    a: self.compile_view_span(a, F32, a_span)?,
-                    b: self.compile_view_span(b, F32, b_span)?,
-                    c: self.compile_view_span(c, F32, m * n)?,
+                    a: self.view_span(a, F32, a_span)?,
+                    b: self.view_span(b, F32, b_span)?,
+                    c: self.view_span(c, F32, m * n)?,
                     shape: BrgemmShape::new(*m, *n, *k),
                     a_rel,
                     b_rel,
                     a_span,
                     b_span,
-                    m_base: self.compile_clamp_base(&m_clamp.base)?,
+                    m_base: self.clamp_base(&m_clamp.base)?,
                     m_logical: m_clamp.logical,
                 }
             }
@@ -530,17 +577,16 @@ impl<'f> FuncBuilder<'f> {
             } => {
                 let (a_rel, a_span) = batch_table(*batch, *a_stride, m * k);
                 let (b_rel, b_span) = batch_table(*batch, *b_stride, n * k);
-                self.stats.brgemm_tables += 2;
                 POp::BrgemmU8I8Tail {
-                    a: self.compile_view_span(a, U8, a_span)?,
-                    b: self.compile_view_span(b, I8, b_span)?,
-                    c: self.compile_view_span(c, I32, m * n)?,
+                    a: self.view_span(a, U8, a_span)?,
+                    b: self.view_span(b, I8, b_span)?,
+                    c: self.view_span(c, I32, m * n)?,
                     shape: BrgemmShape::new(*m, *n, *k),
                     a_rel,
                     b_rel,
                     a_span,
                     b_span,
-                    m_base: self.compile_clamp_base(&m_clamp.base)?,
+                    m_base: self.clamp_base(&m_clamp.base)?,
                     m_logical: m_clamp.logical,
                 }
             }
@@ -550,21 +596,21 @@ impl<'f> FuncBuilder<'f> {
                 }
                 POp::Unary {
                     op: *op,
-                    src: self.compile_view(src, F32)?,
-                    dst: self.compile_view(dst, F32)?,
+                    src: self.view(src, F32)?,
+                    dst: self.view(dst, F32)?,
                 }
             }
             Intrinsic::Binary { op, a, b, dst } => POp::Binary {
                 op: *op,
-                a: self.compile_view(a, F32)?,
-                b: self.compile_view(b, F32)?,
-                dst: self.compile_view(dst, F32)?,
+                a: self.view(a, F32)?,
+                b: self.view(b, F32)?,
+                dst: self.view(dst, F32)?,
             },
             Intrinsic::BinaryScalar { op, a, scalar, dst } => POp::BinaryScalar {
                 op: *op,
-                a: self.compile_view(a, F32)?,
+                a: self.view(a, F32)?,
                 scalar: *scalar,
-                dst: self.compile_view(dst, F32)?,
+                dst: self.view(dst, F32)?,
             },
             Intrinsic::BinaryRowBcast {
                 op,
@@ -575,9 +621,9 @@ impl<'f> FuncBuilder<'f> {
                 cols,
             } => POp::BinaryRowBcast {
                 op: *op,
-                a: self.compile_view_span(a, F32, rows * cols)?,
-                b: self.compile_view_span(b, F32, *cols)?,
-                dst: self.compile_view_span(dst, F32, rows * cols)?,
+                a: self.view_span(a, F32, rows * cols)?,
+                b: self.view_span(b, F32, *cols)?,
+                dst: self.view_span(dst, F32, rows * cols)?,
                 rows: *rows,
                 cols: *cols,
             },
@@ -590,9 +636,9 @@ impl<'f> FuncBuilder<'f> {
                 cols,
             } => POp::BinaryColBcast {
                 op: *op,
-                a: self.compile_view_span(a, F32, rows * cols)?,
-                b: self.compile_view_span(b, F32, *rows)?,
-                dst: self.compile_view_span(dst, F32, rows * cols)?,
+                a: self.view_span(a, F32, rows * cols)?,
+                b: self.view_span(b, F32, *rows)?,
+                dst: self.view_span(dst, F32, rows * cols)?,
                 rows: *rows,
                 cols: *cols,
             },
@@ -605,8 +651,8 @@ impl<'f> FuncBuilder<'f> {
                 accumulate,
             } => POp::ReduceRows {
                 op: *op,
-                src: self.compile_view_span(src, F32, rows * cols)?,
-                acc: self.compile_view_span(acc, F32, *rows)?,
+                src: self.view_span(src, F32, rows * cols)?,
+                acc: self.view_span(acc, F32, *rows)?,
                 rows: *rows,
                 cols: *cols,
                 accumulate: *accumulate,
@@ -621,15 +667,15 @@ impl<'f> FuncBuilder<'f> {
                 rows,
                 cols,
             } => POp::DequantAcc {
-                acc: self.compile_view_span(acc, I32, rows * cols)?,
-                comp: self.compile_view_span(comp, I32, *cols)?,
+                acc: self.view_span(acc, I32, rows * cols)?,
+                comp: self.view_span(comp, I32, *cols)?,
                 a_zero: *a_zero,
                 scale: *scale,
                 bias: match bias {
-                    Some(b) => Some(self.compile_view_span(b, F32, *cols)?),
+                    Some(b) => Some(self.view_span(b, F32, *cols)?),
                     None => None,
                 },
-                dst: self.compile_view_span(dst, F32, rows * cols)?,
+                dst: self.view_span(dst, F32, rows * cols)?,
                 rows: *rows,
                 cols: *cols,
             },
@@ -643,8 +689,8 @@ impl<'f> FuncBuilder<'f> {
                     return Err(Reject::LenMismatch);
                 }
                 POp::QuantU8 {
-                    src: self.compile_view(src, F32)?,
-                    dst: self.compile_view(dst, U8)?,
+                    src: self.view(src, F32)?,
+                    dst: self.view(dst, U8)?,
                     scale: *scale,
                     zero_point: *zero_point,
                 }
@@ -659,8 +705,8 @@ impl<'f> FuncBuilder<'f> {
                     return Err(Reject::LenMismatch);
                 }
                 POp::DequantU8 {
-                    src: self.compile_view(src, U8)?,
-                    dst: self.compile_view(dst, F32)?,
+                    src: self.view(src, U8)?,
+                    dst: self.view(dst, F32)?,
                     scale: *scale,
                     zero_point: *zero_point,
                 }
@@ -670,8 +716,8 @@ impl<'f> FuncBuilder<'f> {
                     return Err(Reject::LenMismatch);
                 }
                 POp::DequantI8 {
-                    src: self.compile_view(src, I8)?,
-                    dst: self.compile_view(dst, F32)?,
+                    src: self.view(src, I8)?,
+                    dst: self.view(dst, F32)?,
                     scale: *scale,
                 }
             }
@@ -681,8 +727,8 @@ impl<'f> FuncBuilder<'f> {
                 nb,
                 kb,
             } => POp::CompAccumulate {
-                b_tile: self.compile_view_span(b_tile, I8, nb * kb)?,
-                comp: self.compile_view_span(comp, I32, *nb)?,
+                b_tile: self.view_span(b_tile, I8, nb * kb)?,
+                comp: self.view_span(comp, I32, *nb)?,
                 nb: *nb,
                 kb: *kb,
             },
@@ -691,8 +737,8 @@ impl<'f> FuncBuilder<'f> {
                     return Err(Reject::LenMismatch);
                 }
                 POp::CastI32F32 {
-                    src: self.compile_view(src, I32)?,
-                    dst: self.compile_view(dst, F32)?,
+                    src: self.view(src, I32)?,
+                    dst: self.view(dst, F32)?,
                 }
             }
             Intrinsic::AddF32 { src, dst } => {
@@ -700,8 +746,8 @@ impl<'f> FuncBuilder<'f> {
                     return Err(Reject::LenMismatch);
                 }
                 POp::AddF32 {
-                    src: self.compile_view(src, F32)?,
-                    dst: self.compile_view(dst, F32)?,
+                    src: self.view(src, F32)?,
+                    dst: self.view(dst, F32)?,
                 }
             }
             Intrinsic::AddI32 { src, dst } => {
@@ -709,8 +755,8 @@ impl<'f> FuncBuilder<'f> {
                     return Err(Reject::LenMismatch);
                 }
                 POp::AddI32 {
-                    src: self.compile_view(src, I32)?,
-                    dst: self.compile_view(dst, I32)?,
+                    src: self.view(src, I32)?,
+                    dst: self.view(dst, I32)?,
                 }
             }
         })
@@ -718,8 +764,9 @@ impl<'f> FuncBuilder<'f> {
 }
 
 /// Run the plan builder purely for its checks (dtype agreement, operand
-/// arity, hoisted bounds), discarding the plan. The validator promotes
-/// the fatal rejects to errors.
+/// arity, hoisted bounds, plan limits), discarding the plan. The
+/// validator turns every reject into an error, which is what makes
+/// [`compile_module`] total on validator-clean modules.
 pub(crate) fn probe_func(f: &Func) -> Result<(), Reject> {
     FuncBuilder::new(f, 1).build().map(|_| ())
 }
@@ -1074,7 +1121,7 @@ mod tests {
                 },
                 _ => None,
             });
-            assert_eq!(src.offset.eval(&vars) as i64, want.unwrap());
+            assert_eq!(src.offset.eval(&vars), want.unwrap());
         }
     }
 
@@ -1121,16 +1168,15 @@ mod tests {
     }
 
     #[test]
-    fn module_compile_counts_fallbacks() {
+    fn validator_rejects_what_the_builder_cannot_compile() {
         let good = simple_func(v(0).mul(Expr::c(4)), 32, 8);
         let bad = simple_func(v(0).mul(Expr::c(4)), 32, 9);
         let mut m = Module::new();
-        m.add_func(good);
+        m.add_func(good.clone());
+        crate::validate_module(&m).unwrap();
+        assert_eq!(compile_module(&m, 4).stats().compiled_funcs, 1);
         m.add_func(bad);
-        let plan = compile_module(&m, 4);
-        assert!(plan.func(0).is_some());
-        assert!(plan.func(1).is_none());
-        assert_eq!(plan.stats().compiled_funcs, 1);
-        assert_eq!(plan.stats().interpreted_funcs, 1);
+        let e = crate::validate_module(&m).unwrap_err();
+        assert!(e.0.contains("can reach element"), "{e}");
     }
 }

@@ -27,8 +27,8 @@
 //! region regardless of which worker claims them.
 
 use crate::compile::compile_module;
-use crate::exec::{run_calls_opts, ExecError};
-use crate::ir::{GlobalKind, Module};
+use crate::exec::ExecError;
+use crate::ir::{Call, GlobalKind, Module};
 use crate::plan::{run_plan_call_opts, ExecOptions, Plan, PlanScratch, PlanStats};
 use crate::sim::{project, Projection};
 use gc_machine::MachineDescriptor;
@@ -48,7 +48,6 @@ use std::time::{Duration, Instant};
 pub struct EngineCounters {
     executions: AtomicU64,
     plan_dispatches: AtomicU64,
-    interp_dispatches: AtomicU64,
     init_runs: AtomicU64,
     exec_states: AtomicU64,
 }
@@ -64,7 +63,6 @@ impl EngineCounters {
         EngineTotals {
             executions: self.executions.load(Ordering::Relaxed),
             plan_dispatches: self.plan_dispatches.load(Ordering::Relaxed),
-            interp_dispatches: self.interp_dispatches.load(Ordering::Relaxed),
             init_runs: self.init_runs.load(Ordering::Relaxed),
             exec_states: self.exec_states.load(Ordering::Relaxed),
         }
@@ -76,7 +74,6 @@ impl EngineCounters {
 static GLOBAL_COUNTERS: EngineCounters = EngineCounters {
     executions: AtomicU64::new(0),
     plan_dispatches: AtomicU64::new(0),
-    interp_dispatches: AtomicU64::new(0),
     init_runs: AtomicU64::new(0),
     exec_states: AtomicU64::new(0),
 };
@@ -87,10 +84,8 @@ static GLOBAL_COUNTERS: EngineCounters = EngineCounters {
 pub struct EngineTotals {
     /// Completed [`Executable::execute`] calls.
     pub executions: u64,
-    /// Main-stage calls dispatched through compiled plans.
+    /// Calls (init and main stage) dispatched through compiled plans.
     pub plan_dispatches: u64,
-    /// Main-stage calls dispatched through the interpreter.
-    pub interp_dispatches: u64,
     /// Init stages actually computed (constant-cache hits excluded).
     pub init_runs: u64,
     /// Execution states materialized (peak concurrency × executables).
@@ -198,15 +193,15 @@ impl std::fmt::Debug for Engine {
     }
 }
 
-/// How the main stage of an [`Executable`] runs its functions.
+/// Which executor runs an [`Executable`]'s init and main stages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ExecMode {
-    /// Flat execution plans compiled at construction; functions the
-    /// plan builder rejected fall back to the interpreter per call.
+    /// Flat execution plans compiled at construction (every function;
+    /// there is no per-call fallback).
     #[default]
     Compiled,
-    /// Tree-walking interpreter for every call — the reference path
-    /// differential tests compare against (`--interpret`).
+    /// The reference walker ([`crate::exec`]) for every call — the
+    /// oracle differential tests compare against (`--interpret`).
     Interpret,
 }
 
@@ -298,7 +293,12 @@ impl Executable {
 
     /// Wrap a lowered module with an explicit execution mode. The plan
     /// is compiled either way (it is cheap and [`Self::plan_stats`]
-    /// stays meaningful); `mode` only selects the dispatch path.
+    /// stays meaningful); `mode` only selects the executor.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `module` is not validator-clean (see
+    /// [`compile_module`]).
     pub fn with_mode(
         module: Module,
         weight_seeds: Vec<(usize, Tensor)>,
@@ -418,6 +418,28 @@ impl Executable {
         ins.into_iter().map(|(_, e, d)| (e, d)).collect()
     }
 
+    /// Run `calls` on the executable's executor: the compiled plan, or
+    /// the reference walker in [`ExecMode::Interpret`]. Both stages go
+    /// through here.
+    fn run_calls(&self, calls: &[Call], globals: &mut [Storage], scratch: &mut PlanScratch) {
+        if self.mode == ExecMode::Interpret {
+            crate::exec::run_calls(&self.module, calls, globals, &self.pool);
+            return;
+        }
+        for call in calls {
+            run_plan_call_opts(
+                &self.plan,
+                call.func,
+                &call.args,
+                globals,
+                &self.pool,
+                scratch,
+                self.exec_options,
+            );
+            self.count(|c| &c.plan_dispatches);
+        }
+    }
+
     /// Run the init stage from scratch: allocate globals, seed weights,
     /// install the first call's inputs (runtime constants arrive with
     /// them), and execute the init calls.
@@ -432,13 +454,8 @@ impl Executable {
             globals[*gi] = t.storage().clone();
         }
         install_inputs(&self.module, &mut globals, inputs);
-        run_calls_opts(
-            &self.module,
-            &self.module.init_calls,
-            &mut globals,
-            &self.pool,
-            self.exec_options,
-        );
+        let mut scratch = PlanScratch::for_plan(&self.plan);
+        self.run_calls(&self.module.init_calls, &mut globals, &mut scratch);
         self.init_runs.fetch_add(1, Ordering::Relaxed);
         self.count(|c| &c.init_runs);
         globals
@@ -519,31 +536,7 @@ impl Executable {
         let globals = &mut state.globals;
         install_inputs(&self.module, globals, inputs);
 
-        // Main stage: compiled plans where available, interpreter
-        // otherwise (and for every call in `Interpret` mode).
-        for call in &self.module.main_calls {
-            if self.mode == ExecMode::Compiled && self.plan.func(call.func).is_some() {
-                run_plan_call_opts(
-                    &self.plan,
-                    call.func,
-                    &call.args,
-                    globals,
-                    &self.pool,
-                    &mut state.scratch,
-                    self.exec_options,
-                );
-                self.count(|c| &c.plan_dispatches);
-            } else {
-                crate::exec::run_func(
-                    &self.module.funcs[call.func],
-                    call,
-                    globals,
-                    &self.pool,
-                    self.exec_options,
-                );
-                self.count(|c| &c.interp_dispatches);
-            }
-        }
+        self.run_calls(&self.module.main_calls, globals, &mut state.scratch);
 
         // collect outputs
         let mut outs: Vec<(usize, Tensor)> = Vec::new();
@@ -884,7 +877,7 @@ mod tests {
         assert!(exe.exec_options().checked);
         let x = Tensor::from_vec_f32(&[8], vec![0.5; 8]).unwrap();
         exe.execute(&[x]).unwrap();
-        assert_eq!(eng.totals().interp_dispatches, 1);
+        assert_eq!(eng.totals().executions, 1);
         assert_eq!(eng.totals().plan_dispatches, 0);
     }
 
@@ -899,9 +892,6 @@ mod tests {
         assert!(after.executions > before.executions);
         assert!(after.init_runs > before.init_runs);
         assert!(after.exec_states > before.exec_states);
-        assert!(
-            after.plan_dispatches + after.interp_dispatches
-                > before.plan_dispatches + before.interp_dispatches
-        );
+        assert!(after.plan_dispatches > before.plan_dispatches);
     }
 }

@@ -1,25 +1,22 @@
-//! Tensor IR execution.
+//! The reference walker: Tensor IR executed straight from the IR.
 //!
 //! The original system lowers Tensor IR to LLVM IR and JITs native code.
-//! This reproduction executes the same IR directly: loop nests are
-//! interpreted (they are shallow — a handful of levels with static trip
-//! counts), and all bulk data work happens inside pre-compiled native
-//! intrinsics from `gc-microkernel`, exactly at the boundary where the
-//! original calls its JITed microkernels.
-//!
-//! # Safety model
-//!
-//! Parallel loop iterations write to disjoint buffer regions — this is a
-//! *lowering invariant*, the same one the original compiler's codegen
-//! guarantees. The executor materializes each buffer's raw pointer once
-//! per function call and builds disjoint slices from it; debug builds
-//! assert in-bounds access and dtype agreement.
+//! This reproduction's engine executes compiled [`crate::plan`]s; this
+//! module is the independent reference the differential tests compare
+//! them against (`ExecMode::Interpret`, `--interpret`). It walks the
+//! `Stmt` tree, evaluates every `Expr` offset directly at each visit,
+//! and bounds-checks every access at run time. It shares no offset code
+//! with the plan builder (no linearization, interval analysis or
+//! `PlanOffset`); the kernel call itself goes through the same
+//! [`crate::invoke`] layer as plans, so microkernel dispatch exists
+//! once.
 
-use crate::expr::VarId;
-use crate::ir::{BufId, Call, Func, Intrinsic, Module, ReduceOp, Stmt, View};
-use gc_microkernel::{brgemm, eltwise, epilogue, reduce, tail, UnaryOp};
+use crate::compile::{Lower, Reject};
+use crate::expr::Expr;
+use crate::invoke::{invoke, Env, RawBuf};
+use crate::ir::{Call, Func, Module, Stmt};
 use gc_runtime::ThreadPool;
-use gc_tensor::{DataType, Storage};
+use gc_tensor::Storage;
 
 /// Error produced while preparing execution (dtype/shape mismatches are
 /// panics, as they indicate compiler bugs, not user errors).
@@ -34,156 +31,6 @@ impl std::fmt::Display for ExecError {
 
 impl std::error::Error for ExecError {}
 
-#[derive(Clone, Copy)]
-pub(crate) struct RawBuf {
-    pub(crate) ptr: *mut u8,
-    elems: usize,
-    dtype: DataType,
-    /// Hard-assert every slice access (checked execution); otherwise
-    /// bounds are debug-only.
-    checked: bool,
-}
-
-impl std::fmt::Debug for RawBuf {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "RawBuf({:?} x{} {})", self.ptr, self.elems, self.dtype)
-    }
-}
-
-unsafe impl Send for RawBuf {}
-unsafe impl Sync for RawBuf {}
-
-impl RawBuf {
-    pub(crate) fn of(storage: &mut Storage, checked: bool) -> RawBuf {
-        let dtype = storage.dtype();
-        let elems = storage.len();
-        let ptr = match storage {
-            Storage::F32(v) => v.as_mut_ptr() as *mut u8,
-            Storage::Bf16(v) => v.as_mut_ptr() as *mut u8,
-            Storage::U8(v) => v.as_mut_ptr(),
-            Storage::I8(v) => v.as_mut_ptr() as *mut u8,
-            Storage::I32(v) => v.as_mut_ptr() as *mut u8,
-            Storage::I64(v) => v.as_mut_ptr() as *mut u8,
-        };
-        RawBuf {
-            ptr,
-            elems,
-            dtype,
-            checked,
-        }
-    }
-
-    /// Buffer capacity in elements (checked execution compares evaluated
-    /// offsets against this).
-    #[inline]
-    pub(crate) fn elems(&self) -> usize {
-        self.elems
-    }
-
-    /// Element type of the underlying storage.
-    #[inline]
-    #[allow(dead_code)]
-    pub(crate) fn dtype(&self) -> DataType {
-        self.dtype
-    }
-
-    #[inline]
-    fn check(&self, off: usize, len: usize, dtype: DataType) {
-        if self.checked {
-            assert_eq!(self.dtype, dtype, "intrinsic dtype mismatch");
-            assert!(
-                off + len <= self.elems,
-                "view out of bounds: {}+{} > {}",
-                off,
-                len,
-                self.elems
-            );
-        } else {
-            debug_assert_eq!(self.dtype, dtype, "intrinsic dtype mismatch");
-            debug_assert!(
-                off + len <= self.elems,
-                "view out of bounds: {}+{} > {}",
-                off,
-                len,
-                self.elems
-            );
-        }
-    }
-
-    /// # Safety
-    /// Range must be in bounds and disjoint from other live slices.
-    #[inline]
-    pub(crate) unsafe fn f32<'a>(self, off: usize, len: usize) -> &'a mut [f32] {
-        self.check(off, len, DataType::F32);
-        std::slice::from_raw_parts_mut((self.ptr as *mut f32).add(off), len)
-    }
-
-    /// # Safety
-    /// Range must be in bounds and disjoint from other live slices.
-    #[inline]
-    pub(crate) unsafe fn u8<'a>(self, off: usize, len: usize) -> &'a mut [u8] {
-        self.check(off, len, DataType::U8);
-        std::slice::from_raw_parts_mut(self.ptr.add(off), len)
-    }
-
-    /// # Safety
-    /// Range must be in bounds and disjoint from other live slices.
-    #[inline]
-    pub(crate) unsafe fn i8<'a>(self, off: usize, len: usize) -> &'a mut [i8] {
-        self.check(off, len, DataType::I8);
-        std::slice::from_raw_parts_mut((self.ptr as *mut i8).add(off), len)
-    }
-
-    /// # Safety
-    /// Range must be in bounds and disjoint from other live slices.
-    #[inline]
-    pub(crate) unsafe fn i32<'a>(self, off: usize, len: usize) -> &'a mut [i32] {
-        self.check(off, len, DataType::I32);
-        std::slice::from_raw_parts_mut((self.ptr as *mut i32).add(off), len)
-    }
-}
-
-struct Frame<'a> {
-    bufs: Vec<RawBuf>,
-    n_params: usize,
-    pool: &'a ThreadPool,
-    checked: bool,
-}
-
-impl Frame<'_> {
-    #[inline]
-    fn buf(&self, id: BufId) -> RawBuf {
-        match id {
-            BufId::Param(i) => self.bufs[i],
-            BufId::Local(i) => self.bufs[self.n_params + i],
-        }
-    }
-
-    #[inline]
-    fn resolve(&self, v: &View, vars: &[i64]) -> (RawBuf, usize) {
-        let off = v.offset.eval(vars);
-        if self.checked {
-            assert!(off >= 0, "negative view offset {off}");
-        } else {
-            debug_assert!(off >= 0, "negative view offset {off}");
-        }
-        (self.buf(v.buf), off as usize)
-    }
-
-    /// Evaluate a scalar index expression (axis-clamp base), asserting
-    /// non-negativity.
-    #[inline]
-    fn index(&self, e: &crate::expr::Expr, vars: &[i64]) -> usize {
-        let v = e.eval(vars);
-        if self.checked {
-            assert!(v >= 0, "negative clamp base {v}");
-        } else {
-            debug_assert!(v >= 0, "negative clamp base {v}");
-        }
-        v.max(0) as usize
-    }
-}
-
 /// Execute a module's init and/or main call sequences against `globals`
 /// (one [`Storage`] per module global, in declaration order).
 ///
@@ -194,42 +41,13 @@ impl Frame<'_> {
 ///
 /// # Panics
 ///
-/// Panics on out-of-bounds views or dtype mismatches (compiler-invariant
-/// violations).
+/// Panics on out-of-bounds accesses or dtype mismatches
+/// (compiler-invariant violations).
 pub fn run_module(
     module: &Module,
     globals: &mut [Storage],
     pool: &ThreadPool,
     include_init: bool,
-) -> Result<(), ExecError> {
-    run_module_opts(
-        module,
-        globals,
-        pool,
-        include_init,
-        crate::plan::ExecOptions::default(),
-    )
-}
-
-/// [`run_module`] with explicit execution options (e.g. checked
-/// bounds-asserted interpretation).
-///
-/// # Errors
-///
-/// Returns an error if `globals` disagrees with the module's
-/// declarations.
-///
-/// # Panics
-///
-/// Panics on out-of-bounds views or dtype mismatches (compiler-invariant
-/// violations); with `opts.checked` these are hard asserts in release
-/// builds too.
-pub fn run_module_opts(
-    module: &Module,
-    globals: &mut [Storage],
-    pool: &ThreadPool,
-    include_init: bool,
-    opts: crate::plan::ExecOptions,
 ) -> Result<(), ExecError> {
     if globals.len() != module.globals.len() {
         return Err(ExecError(format!(
@@ -251,9 +69,9 @@ pub fn run_module_opts(
         }
     }
     if include_init {
-        run_calls_opts(module, &module.init_calls, globals, pool, opts);
+        run_calls(module, &module.init_calls, globals, pool);
     }
-    run_calls_opts(module, &module.main_calls, globals, pool, opts);
+    run_calls(module, &module.main_calls, globals, pool);
     Ok(())
 }
 
@@ -263,823 +81,132 @@ pub fn run_module_opts(
 ///
 /// Panics on compiler-invariant violations.
 pub fn run_calls(module: &Module, calls: &[Call], globals: &mut [Storage], pool: &ThreadPool) {
-    run_calls_opts(
-        module,
-        calls,
-        globals,
-        pool,
-        crate::plan::ExecOptions::default(),
-    );
-}
-
-/// [`run_calls`] with explicit execution options.
-///
-/// # Panics
-///
-/// Panics on compiler-invariant violations.
-pub fn run_calls_opts(
-    module: &Module,
-    calls: &[Call],
-    globals: &mut [Storage],
-    pool: &ThreadPool,
-    opts: crate::plan::ExecOptions,
-) {
     for call in calls {
-        let func = &module.funcs[call.func];
-        run_func(func, call, globals, pool, opts);
+        run_func(&module.funcs[call.func], &call.args, globals, pool);
     }
 }
 
-pub(crate) fn run_func(
-    func: &Func,
-    call: &Call,
-    globals: &mut [Storage],
-    pool: &ThreadPool,
-    opts: crate::plan::ExecOptions,
-) {
-    // Materialize raw param pointers (sequentially, one &mut at a time).
-    // A global may be bound to several parameters (e.g. a residual graph
-    // passing the same tensor as activation and post-op operand); those
-    // parameters share one RawBuf, so aliasing stays confined to the
+fn run_func(func: &Func, args: &[usize], globals: &mut [Storage], pool: &ThreadPool) {
+    // A global bound to several parameters (e.g. a residual graph
+    // passing the same tensor as activation and post-op operand) yields
+    // identical RawBufs, so aliasing stays confined to the
     // intrinsic-level disjointness contract.
-    let mut bufs: Vec<RawBuf> = Vec::with_capacity(func.params.len() + func.locals.len());
-    {
-        let mut seen: std::collections::HashMap<usize, RawBuf> = std::collections::HashMap::new();
-        for &a in &call.args {
-            let raw = match seen.get(&a) {
-                Some(r) => *r,
-                None => {
-                    let r = RawBuf::of(&mut globals[a], opts.checked);
-                    seen.insert(a, r);
-                    r
-                }
-            };
-            bufs.push(raw);
-        }
-    }
-    // Allocate locals.
-    let mut local_storage: Vec<Storage> = func
+    let mut locals: Vec<Storage> = func
         .locals
         .iter()
         .map(|d| Storage::zeros(d.dtype, d.elems))
         .collect();
-    for s in &mut local_storage {
-        bufs.push(RawBuf::of(s, opts.checked));
-    }
-    let frame = Frame {
-        bufs,
-        n_params: func.params.len(),
+    let bufs: Vec<RawBuf> = args
+        .iter()
+        .map(|&a| RawBuf::of(&mut globals[a], true))
+        .chain(locals.iter_mut().map(|s| RawBuf::of(s, true)))
+        .collect();
+    let walker = Walker {
+        func,
+        bufs: &bufs,
         pool,
-        checked: opts.checked,
     };
-    let mut vars = vec![0i64; func.var_count];
-    exec_stmts(&func.body, &frame, &mut vars);
-    // local_storage dropped here; frame pointers die with it.
+    walker.stmts(&func.body, &mut vec![0; func.var_count]);
+    // `locals` outlives every RawBuf built from it.
 }
 
-fn exec_stmts(stmts: &[Stmt], frame: &Frame<'_>, vars: &mut Vec<i64>) {
-    for s in stmts {
-        exec_stmt(s, frame, vars);
-    }
+struct Walker<'a> {
+    func: &'a Func,
+    bufs: &'a [RawBuf],
+    pool: &'a ThreadPool,
 }
 
-fn exec_stmt(stmt: &Stmt, frame: &Frame<'_>, vars: &mut Vec<i64>) {
-    match stmt {
-        Stmt::For {
-            var,
-            extent,
-            parallel,
-            body,
-        } => {
-            if *parallel && frame.pool.threads() > 1 && *extent > 1 {
-                let vars_proto = vars.clone();
-                let var = *var;
-                frame.pool.parallel_for(*extent, |i| {
-                    let mut my_vars = vars_proto.clone();
-                    set_var(&mut my_vars, var, i as i64);
-                    exec_stmts(body, frame, &mut my_vars);
-                });
-            } else {
-                for i in 0..*extent {
-                    set_var(vars, *var, i as i64);
-                    exec_stmts(body, frame, vars);
-                }
-            }
-        }
-        Stmt::Op(intr) => exec_intrinsic(intr, frame, vars),
-    }
-}
-
-#[inline]
-fn set_var(vars: &mut Vec<i64>, var: VarId, val: i64) {
-    if var.0 >= vars.len() {
-        vars.resize(var.0 + 1, 0);
-    }
-    vars[var.0] = val;
-}
-
-#[inline]
-pub(crate) fn assert_disjoint(a: (RawBuf, usize, usize), b: (RawBuf, usize, usize)) {
-    debug_assert!(
-        a.0.ptr != b.0.ptr || a.1 + a.2 <= b.1 || b.1 + b.2 <= a.1,
-        "overlapping views in intrinsic"
-    );
-}
-
-#[allow(clippy::too_many_lines)]
-fn exec_intrinsic(intr: &Intrinsic, frame: &Frame<'_>, vars: &[i64]) {
-    match intr {
-        Intrinsic::BrgemmF32 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        } => {
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (cb, co) = frame.resolve(c, vars);
-            let a_offs: Vec<usize> = (0..*batch).map(|i| ao + i * a_stride).collect();
-            let b_offs: Vec<usize> = (0..*batch).map(|i| bo + i * b_stride).collect();
-            let a_end = a_offs.last().map(|&o| o + m * k).unwrap_or(ao);
-            let b_end = b_offs.last().map(|&o| o + n * k).unwrap_or(bo);
-            unsafe {
-                let asl = ab.f32(ao, a_end - ao);
-                let bsl = bb.f32(bo, b_end - bo);
-                let csl = cb.f32(co, m * n);
-                let a_rel: Vec<usize> = a_offs.iter().map(|&o| o - ao).collect();
-                let b_rel: Vec<usize> = b_offs.iter().map(|&o| o - bo).collect();
-                brgemm::brgemm_f32(
-                    brgemm::BrgemmShape::new(*m, *n, *k),
-                    asl,
-                    &a_rel,
-                    bsl,
-                    &b_rel,
-                    csl,
-                );
-            }
-        }
-        Intrinsic::BrgemmU8I8 {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-        } => {
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (cb, co) = frame.resolve(c, vars);
-            let a_offs: Vec<usize> = (0..*batch).map(|i| i * a_stride).collect();
-            let b_offs: Vec<usize> = (0..*batch).map(|i| i * b_stride).collect();
-            let a_len = a_offs.last().unwrap_or(&0) + m * k;
-            let b_len = b_offs.last().unwrap_or(&0) + n * k;
-            unsafe {
-                let asl = ab.u8(ao, a_len);
-                let bsl = bb.i8(bo, b_len);
-                let csl = cb.i32(co, m * n);
-                brgemm::brgemm_u8i8(
-                    brgemm::BrgemmShape::new(*m, *n, *k),
-                    asl,
-                    &a_offs,
-                    bsl,
-                    &b_offs,
-                    csl,
-                );
-            }
-        }
-        Intrinsic::FillF32 { dst, value } => {
-            let (db, off) = frame.resolve(dst, vars);
-            unsafe { db.f32(off, dst.len) }.fill(*value);
-        }
-        Intrinsic::ZeroI32 { dst } => {
-            let (db, off) = frame.resolve(dst, vars);
-            unsafe { db.i32(off, dst.len) }.fill(0);
-        }
-        Intrinsic::Pack2D {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-        } => {
-            let sb = frame.buf(*src);
-            let so = src_offset.eval(vars) as usize;
-            let (db, doff) = frame.resolve(dst, vars);
-            pack2d(
-                sb,
-                so,
-                *src_row_stride,
-                *src_col_stride,
-                db,
-                doff,
-                *rows,
-                *cols,
-            );
-        }
-        Intrinsic::Unpack2D {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let db = frame.buf(*dst);
-            let doff = dst_offset.eval(vars) as usize;
-            unpack2d(
-                sb,
-                so,
-                db,
-                doff,
-                *dst_row_stride,
-                *dst_col_stride,
-                *rows,
-                *cols,
-            );
-        }
-        Intrinsic::Pack2DPad {
-            src,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => {
-            let sb = frame.buf(*src);
-            let so = frame.index(src_offset, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            let rb = frame.index(&row_clamp.base, vars);
-            let cb = frame.index(&col_clamp.base, vars);
-            let avail_r = row_clamp.avail(rb, *rows);
-            let avail_c = col_clamp.avail(cb, *cols);
-            pack2d_pad(
-                sb,
-                so + rb * src_row_stride + cb * src_col_stride,
-                *src_row_stride,
-                *src_col_stride,
-                db,
-                doff,
-                *rows,
-                *cols,
-                avail_r,
-                avail_c,
-            );
-        }
-        Intrinsic::Unpack2DClamp {
-            src,
-            dst,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_clamp,
-            col_clamp,
-        } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let db = frame.buf(*dst);
-            let doff = frame.index(dst_offset, vars);
-            let rb = frame.index(&row_clamp.base, vars);
-            let cb = frame.index(&col_clamp.base, vars);
-            let avail_r = row_clamp.avail(rb, *rows);
-            let avail_c = col_clamp.avail(cb, *cols);
-            unpack2d_clamp(
-                sb,
-                so,
-                db,
-                doff + rb * dst_row_stride + cb * dst_col_stride,
-                *dst_row_stride,
-                *dst_col_stride,
-                *cols,
-                avail_r,
-                avail_c,
-            );
-        }
-        Intrinsic::BrgemmF32Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => {
-            let mb = frame.index(&m_clamp.base, vars);
-            let m_eff = m_clamp.avail(mb, *m);
-            if m_eff == 0 {
-                return;
-            }
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (cb, co) = frame.resolve(c, vars);
-            let a_offs: Vec<usize> = (0..*batch).map(|i| i * a_stride).collect();
-            let b_offs: Vec<usize> = (0..*batch).map(|i| i * b_stride).collect();
-            let a_len = a_offs.last().unwrap_or(&0) + m * k;
-            let b_len = b_offs.last().unwrap_or(&0) + n * k;
-            unsafe {
-                let asl = ab.f32(ao, a_len);
-                let bsl = bb.f32(bo, b_len);
-                let csl = cb.f32(co, m_eff * n);
-                tail::brgemm_f32_m_tail(
-                    brgemm::BrgemmShape::new(*m, *n, *k),
-                    m_eff,
-                    asl,
-                    &a_offs,
-                    bsl,
-                    &b_offs,
-                    csl,
-                );
-            }
-        }
-        Intrinsic::BrgemmU8I8Tail {
-            a,
-            a_stride,
-            b,
-            b_stride,
-            c,
-            m,
-            n,
-            k,
-            batch,
-            m_clamp,
-        } => {
-            let mb = frame.index(&m_clamp.base, vars);
-            let m_eff = m_clamp.avail(mb, *m);
-            if m_eff == 0 {
-                return;
-            }
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (cb, co) = frame.resolve(c, vars);
-            let a_offs: Vec<usize> = (0..*batch).map(|i| i * a_stride).collect();
-            let b_offs: Vec<usize> = (0..*batch).map(|i| i * b_stride).collect();
-            let a_len = a_offs.last().unwrap_or(&0) + m * k;
-            let b_len = b_offs.last().unwrap_or(&0) + n * k;
-            unsafe {
-                let asl = ab.u8(ao, a_len);
-                let bsl = bb.i8(bo, b_len);
-                let csl = cb.i32(co, m_eff * n);
-                tail::brgemm_u8i8_m_tail(
-                    brgemm::BrgemmShape::new(*m, *n, *k),
-                    m_eff,
-                    asl,
-                    &a_offs,
-                    bsl,
-                    &b_offs,
-                    csl,
-                );
-            }
-        }
-        Intrinsic::Unary { op, src, dst } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            if sb.ptr == db.ptr && so == doff {
-                debug_assert_eq!(src.len, dst.len);
-                let buf = unsafe { db.f32(doff, dst.len) };
-                eltwise::unary_inplace(*op, buf);
-            } else {
-                assert_disjoint((sb, so, src.len), (db, doff, dst.len));
-                unsafe {
-                    eltwise::unary(*op, sb.f32(so, src.len), db.f32(doff, dst.len));
-                }
-            }
-        }
-        Intrinsic::Binary { op, a, b, dst } => {
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            // In-place over `a` is permitted (dst == a); `b` must be
-            // disjoint from dst.
-            assert_disjoint((bb, bo, b.len), (db, doff, dst.len));
-            if ab.ptr == db.ptr && ao == doff {
-                unsafe {
-                    let dsl = db.f32(doff, dst.len);
-                    let bsl = bb.f32(bo, b.len);
-                    for (d, &y) in dsl.iter_mut().zip(bsl.iter()) {
-                        *d = op.apply(*d, y);
+impl<'a> Walker<'a> {
+    fn stmts(&self, stmts: &'a [Stmt], vars: &mut [i64]) {
+        for s in stmts {
+            match s {
+                Stmt::For {
+                    var,
+                    extent,
+                    parallel,
+                    body,
+                } => {
+                    if *parallel && self.pool.threads() > 1 && *extent > 1 {
+                        let proto = vars.to_vec();
+                        self.pool.parallel_for(*extent, |i| {
+                            let mut my_vars = proto.clone();
+                            my_vars[var.0] = i as i64;
+                            self.stmts(body, &mut my_vars);
+                        });
+                    } else {
+                        for i in 0..*extent {
+                            vars[var.0] = i as i64;
+                            self.stmts(body, vars);
+                        }
                     }
                 }
-            } else {
-                assert_disjoint((ab, ao, a.len), (db, doff, dst.len));
-                unsafe {
-                    eltwise::binary(
-                        *op,
-                        ab.f32(ao, a.len),
-                        bb.f32(bo, b.len),
-                        db.f32(doff, dst.len),
+                Stmt::Op(intr) => {
+                    let op = RefLower(self.func)
+                        .lower_intrinsic(intr)
+                        .unwrap_or_else(|r| {
+                            panic!("reference walker: func {}: {r}", self.func.name)
+                        });
+                    invoke(
+                        &op,
+                        &RefEnv {
+                            bufs: self.bufs,
+                            vars,
+                        },
                     );
                 }
             }
         }
-        Intrinsic::BinaryScalar { op, a, scalar, dst } => {
-            let (ab, ao) = frame.resolve(a, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            if ab.ptr == db.ptr && ao == doff {
-                let dsl = unsafe { db.f32(doff, dst.len) };
-                for d in dsl.iter_mut() {
-                    *d = op.apply(*d, *scalar);
-                }
-            } else {
-                assert_disjoint((ab, ao, a.len), (db, doff, dst.len));
-                unsafe {
-                    eltwise::binary_scalar(*op, ab.f32(ao, a.len), *scalar, db.f32(doff, dst.len));
-                }
-            }
-        }
-        Intrinsic::BinaryRowBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => {
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                let bsl = bb.f32(bo, *cols);
-                for r in 0..*rows {
-                    let arow = ab.f32(ao + r * cols, *cols);
-                    let drow = db.f32(doff + r * cols, *cols);
-                    for ((d, &x), &y) in drow.iter_mut().zip(arow.iter()).zip(bsl.iter()) {
-                        *d = op.apply(x, y);
-                    }
-                }
-            }
-        }
-        Intrinsic::BinaryColBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => {
-            let (ab, ao) = frame.resolve(a, vars);
-            let (bb, bo) = frame.resolve(b, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                let bsl = bb.f32(bo, *rows);
-                for (r, &y) in bsl.iter().enumerate() {
-                    let arow = ab.f32(ao + r * cols, *cols);
-                    let drow = db.f32(doff + r * cols, *cols);
-                    match op {
-                        gc_microkernel::BinaryOp::Div => {
-                            let inv = 1.0 / y;
-                            for (d, &x) in drow.iter_mut().zip(arow.iter()) {
-                                *d = x * inv;
-                            }
-                        }
-                        _ => {
-                            for (d, &x) in drow.iter_mut().zip(arow.iter()) {
-                                *d = op.apply(x, y);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        Intrinsic::ReduceRows {
-            op,
-            src,
-            acc,
-            rows,
-            cols,
-            accumulate,
-        } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (accb, acco) = frame.resolve(acc, vars);
-            unsafe {
-                let ssl = sb.f32(so, rows * cols);
-                let asl = accb.f32(acco, *rows);
-                match (op, accumulate) {
-                    (ReduceOp::Max, false) => reduce::reduce_rows_max(ssl, *rows, *cols, asl),
-                    (ReduceOp::Sum, false) => reduce::reduce_rows_sum(ssl, *rows, *cols, asl),
-                    (ReduceOp::Max, true) => {
-                        for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(*cols)) {
-                            let m = reduce::reduce_max(row);
-                            if m > *a {
-                                *a = m;
-                            }
-                        }
-                    }
-                    (ReduceOp::Sum, true) => {
-                        for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(*cols)) {
-                            *a += reduce::reduce_sum(row);
-                        }
-                    }
-                }
-            }
-        }
-        Intrinsic::DequantAcc {
-            acc,
-            comp,
-            a_zero,
-            scale,
-            bias,
-            dst,
-            rows,
-            cols,
-        } => {
-            let (accb, acco) = frame.resolve(acc, vars);
-            let (compb, compo) = frame.resolve(comp, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                let asl = accb.i32(acco, rows * cols);
-                let csl = compb.i32(compo, *cols);
-                let dsl = db.f32(doff, rows * cols);
-                match bias {
-                    Some(bv) => {
-                        let (bb, bo) = frame.resolve(bv, vars);
-                        let bsl = bb.f32(bo, *cols);
-                        epilogue::dequant_acc_bias(
-                            asl, *rows, *cols, csl, *a_zero, *scale, bsl, dsl,
-                        );
-                    }
-                    None => epilogue::dequant_acc(asl, *rows, *cols, csl, *a_zero, *scale, dsl),
-                }
-            }
-        }
-        Intrinsic::QuantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                epilogue::requant_u8(
-                    sb.f32(so, src.len),
-                    1.0 / *scale,
-                    *zero_point,
-                    db.u8(doff, dst.len),
-                );
-            }
-        }
-        Intrinsic::DequantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                let ssl = sb.u8(so, src.len);
-                let dsl = db.f32(doff, dst.len);
-                for (d, &q) in dsl.iter_mut().zip(ssl.iter()) {
-                    *d = *scale * (q as i32 - zero_point) as f32;
-                }
-            }
-        }
-        Intrinsic::DequantI8 { src, dst, scale } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                let ssl = sb.i8(so, src.len);
-                let dsl = db.f32(doff, dst.len);
-                for (d, &q) in dsl.iter_mut().zip(ssl.iter()) {
-                    *d = *scale * q as f32;
-                }
-            }
-        }
-        Intrinsic::CompAccumulate {
-            b_tile,
-            comp,
-            nb,
-            kb,
-        } => {
-            let (bb, bo) = frame.resolve(b_tile, vars);
-            let (cb, co) = frame.resolve(comp, vars);
-            unsafe {
-                let bsl = bb.i8(bo, nb * kb);
-                let csl = cb.i32(co, *nb);
-                for (c, panel) in csl.iter_mut().zip(bsl.chunks_exact(*kb)) {
-                    *c += panel.iter().map(|&x| x as i32).sum::<i32>();
-                }
-            }
-        }
-        Intrinsic::CastI32F32 { src, dst } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            unsafe {
-                epilogue::i32_to_f32(sb.i32(so, src.len), db.f32(doff, dst.len));
-            }
-        }
-        Intrinsic::AddF32 { src, dst } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            assert_disjoint((sb, so, src.len), (db, doff, dst.len));
-            unsafe {
-                eltwise::acc_add_f32(sb.f32(so, src.len), db.f32(doff, dst.len));
-            }
-        }
-        Intrinsic::AddI32 { src, dst } => {
-            let (sb, so) = frame.resolve(src, vars);
-            let (db, doff) = frame.resolve(dst, vars);
-            assert_disjoint((sb, so, src.len), (db, doff, dst.len));
-            unsafe {
-                eltwise::acc_add_i32(sb.i32(so, src.len), db.i32(doff, dst.len));
-            }
-        }
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack2d(
-    sb: RawBuf,
-    so: usize,
-    rs: usize,
-    cs: usize,
-    db: RawBuf,
-    doff: usize,
-    rows: usize,
-    cols: usize,
-) {
-    macro_rules! go {
-        ($get:ident) => {{
-            unsafe {
-                let need = so + (rows - 1) * rs + (cols - 1) * cs + 1;
-                let ssl = sb.$get(so, need - so);
-                let dsl = db.$get(doff, rows * cols);
-                if cs == 1 {
-                    for r in 0..rows {
-                        dsl[r * cols..(r + 1) * cols].copy_from_slice(&ssl[r * rs..r * rs + cols]);
-                    }
-                } else {
-                    for r in 0..rows {
-                        for c in 0..cols {
-                            dsl[r * cols + c] = ssl[r * rs + c * cs];
-                        }
-                    }
-                }
-            }
-        }};
+/// Lowering that keeps the IR's offset expressions as they are.
+struct RefLower<'f>(&'f Func);
+
+impl<'f> Lower<'f> for RefLower<'f> {
+    type Off = &'f Expr;
+
+    fn func(&self) -> &'f Func {
+        self.0
     }
-    match sb.dtype {
-        DataType::F32 => go!(f32),
-        DataType::U8 => go!(u8),
-        DataType::I8 => go!(i8),
-        DataType::I32 => go!(i32),
-        other => panic!("pack2d unsupported dtype {other}"),
+
+    fn offset(&mut self, offset: &'f Expr, _: usize, _: usize) -> Result<&'f Expr, Reject> {
+        Ok(offset)
+    }
+
+    fn clamp_base(&mut self, base: &'f Expr) -> Result<&'f Expr, Reject> {
+        Ok(base)
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn unpack2d(
-    sb: RawBuf,
-    so: usize,
-    db: RawBuf,
-    doff: usize,
-    rs: usize,
-    cs: usize,
-    rows: usize,
-    cols: usize,
-) {
-    macro_rules! go {
-        ($get:ident) => {{
-            unsafe {
-                let ssl = sb.$get(so, rows * cols);
-                let need = doff + (rows - 1) * rs + (cols - 1) * cs + 1;
-                let dsl = db.$get(doff, need - doff);
-                if cs == 1 {
-                    for r in 0..rows {
-                        dsl[r * rs..r * rs + cols].copy_from_slice(&ssl[r * cols..(r + 1) * cols]);
-                    }
-                } else {
-                    for r in 0..rows {
-                        for c in 0..cols {
-                            dsl[r * rs + c * cs] = ssl[r * cols + c];
-                        }
-                    }
-                }
-            }
-        }};
-    }
-    match sb.dtype {
-        DataType::F32 => go!(f32),
-        DataType::U8 => go!(u8),
-        DataType::I8 => go!(i8),
-        DataType::I32 => go!(i32),
-        other => panic!("unpack2d unsupported dtype {other}"),
-    }
+/// The reference walker's [`Env`]: evaluates `Expr` offsets against the
+/// current variables and checks every access.
+struct RefEnv<'a> {
+    bufs: &'a [RawBuf],
+    vars: &'a [i64],
 }
 
-/// Clamped pack: copy the `avail_r x avail_c` in-bounds block of a
-/// strided source into the top-left of a contiguous `rows x cols` tile
-/// and zero-fill the remainder. `so` is the fully evaluated source base
-/// (clamp bases already applied).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn pack2d_pad(
-    sb: RawBuf,
-    so: usize,
-    rs: usize,
-    cs: usize,
-    db: RawBuf,
-    doff: usize,
-    rows: usize,
-    cols: usize,
-    avail_r: usize,
-    avail_c: usize,
-) {
-    debug_assert!(avail_r <= rows && avail_c <= cols);
-    macro_rules! go {
-        ($get:ident, $zero:expr) => {{
-            unsafe {
-                let dsl = db.$get(doff, rows * cols);
-                if avail_r == 0 || avail_c == 0 {
-                    dsl.fill($zero);
-                    return;
-                }
-                let need = so + (avail_r - 1) * rs + (avail_c - 1) * cs + 1;
-                let ssl = sb.$get(so, need - so);
-                tail::pack_pad_2d(ssl, rs, cs, dsl, rows, cols, avail_r, avail_c, $zero);
-            }
-        }};
-    }
-    match sb.dtype {
-        DataType::F32 => go!(f32, 0.0f32),
-        DataType::U8 => go!(u8, 0u8),
-        DataType::I8 => go!(i8, 0i8),
-        DataType::I32 => go!(i32, 0i32),
-        other => panic!("pack2d_pad unsupported dtype {other}"),
-    }
-}
+impl<'a> Env for RefEnv<'a> {
+    type Off = &'a Expr;
 
-/// Clamped unpack: scatter only the `avail_r x avail_c` in-bounds block
-/// of a contiguous `rows x cols` tile (row pitch `cols`) into a strided
-/// destination. `doff` is the fully evaluated destination base (clamp
-/// bases already applied).
-#[allow(clippy::too_many_arguments)]
-pub(crate) fn unpack2d_clamp(
-    sb: RawBuf,
-    so: usize,
-    db: RawBuf,
-    doff: usize,
-    rs: usize,
-    cs: usize,
-    cols: usize,
-    avail_r: usize,
-    avail_c: usize,
-) {
-    if avail_r == 0 || avail_c == 0 {
-        return;
+    fn buf(&self, slot: u32) -> RawBuf {
+        self.bufs[slot as usize]
     }
-    macro_rules! go {
-        ($get:ident) => {{
-            unsafe {
-                let ssl = sb.$get(so, (avail_r - 1) * cols + avail_c);
-                let need = doff + (avail_r - 1) * rs + (avail_c - 1) * cs + 1;
-                let dsl = db.$get(doff, need - doff);
-                tail::store_clamped_2d(ssl, dsl, rs, cs, avail_r, cols, avail_r, avail_c);
-            }
-        }};
-    }
-    match sb.dtype {
-        DataType::F32 => go!(f32),
-        DataType::U8 => go!(u8),
-        DataType::I8 => go!(i8),
-        DataType::I32 => go!(i32),
-        other => panic!("unpack2d_clamp unsupported dtype {other}"),
-    }
-}
 
-/// Convenience: like [`UnaryOp::Identity`] copy via `Unary`, used by
-/// tests to express plain copies.
-pub fn copy_intrinsic(src: View, dst: View) -> Intrinsic {
-    Intrinsic::Unary {
-        op: UnaryOp::Identity,
-        src,
-        dst,
+    fn eval(&self, off: &&'a Expr) -> i64 {
+        off.eval(self.vars)
+    }
+
+    fn checked(&self) -> bool {
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::expr::Expr;
-    use crate::ir::{BufDecl, GlobalDecl, GlobalKind};
-    use gc_microkernel::BinaryOp;
+    use crate::ir::{BufDecl, BufId, GlobalDecl, GlobalKind, Intrinsic, ReduceOp, View};
+    use gc_microkernel::{BinaryOp, UnaryOp};
+    use gc_tensor::DataType;
 
     fn pool() -> ThreadPool {
         ThreadPool::new(2)

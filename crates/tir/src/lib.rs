@@ -7,9 +7,11 @@
 //!
 //! - the IR ([`ir`]): [`Module`] / [`Func`] / [`Stmt`] / [`Intrinsic`]
 //!   with integer index expressions ([`expr`]);
-//! - execution ([`exec`]): an in-process executor whose bulk work runs
-//!   in the native microkernels (the reproduction's stand-in for LLVM
-//!   JIT codegen);
+//! - execution: flat execution plans ([`compile`], [`plan`]) — the
+//!   reproduction's stand-in for LLVM JIT codegen — run by the
+//!   [`engine`], with the reference walker ([`exec`]) as the
+//!   differential-testing oracle; both call the native microkernels
+//!   through one intrinsic layer ([`invoke`]);
 //! - the Tensor IR optimizations ([`passes`]): mechanical parallel-loop
 //!   merging (coarse-grain fusion), tensor-size optimization, and
 //!   memory-buffer reuse;
@@ -23,6 +25,7 @@ pub mod compile;
 pub mod engine;
 pub mod exec;
 pub mod expr;
+pub mod invoke;
 pub mod ir;
 pub mod passes;
 pub mod plan;

@@ -11,11 +11,10 @@
 //!   range, no references to orphaned (zero-sized) buffers, and — via
 //!   the same interval analysis the plan compiler uses for bounds
 //!   hoisting — that no access can escape its buffer for any iteration.
-//!   Dtype/arity agreement is checked by running the plan builder and
-//!   promoting its fatal rejects (`OutOfBounds`, `DtypeMismatch`,
-//!   `LenMismatch`) to validation errors; its benign rejects
-//!   (`TooManyVars`, `Unbounded`, `ProgramTooDeep`) merely route the
-//!   function to the interpreter and are not correctness bugs.
+//!   Dtype/arity agreement and the plan's limits (loop variables,
+//!   boundable offsets, offset-program depth) are checked by running
+//!   the plan builder and turning each of its rejects into a validation
+//!   error, so every validator-clean module compiles to a plan.
 //! - [`check_func_reuse`] / [`check_module_reuse`] verify that a
 //!   buffer-merging pass preserved dataflow: they value-number reads
 //!   against their defining writes in the module before and after the
@@ -27,7 +26,7 @@
 //! guilty pass in the error, so a miscompile is caught at compile time
 //! with a pass name attached instead of shipping garbage.
 
-use crate::compile::{interval, probe_func, Reject};
+use crate::compile::{interval, probe_func};
 use crate::expr::Expr;
 use crate::ir::{BufId, Func, GlobalKind, Module, Stmt};
 use crate::visit::intrinsic_accesses;
@@ -76,8 +75,9 @@ struct VarState {
 
 /// Validate one function: loop-variable def-before-use, buffer indices
 /// in range, no references to orphaned buffers, and interval-provable
-/// in-bounds accesses. Dtype/arity agreement is delegated to the plan
-/// builder (fatal rejects only).
+/// in-bounds accesses. Dtype/arity agreement and the plan limits are
+/// delegated to the plan builder: whatever it cannot compile is an
+/// error here.
 ///
 /// # Errors
 ///
@@ -89,26 +89,10 @@ pub fn validate_func(f: &Func) -> Result<(), ValidateError> {
         active: vec![false; f.var_count],
     };
     walk_stmts(f, &f.body, &mut vs)?;
-    // Plan-builder backstop: dtype and operand-arity agreement, plus
-    // bounds through the exact span decomposition the compiler uses.
-    match probe_func(f) {
-        Ok(())
-        | Err(Reject::TooManyVars)
-        | Err(Reject::Unbounded)
-        | Err(Reject::ProgramTooDeep) => Ok(()),
-        Err(Reject::OutOfBounds) => err(format!(
-            "func {}: plan builder proves an out-of-bounds access",
-            f.name
-        )),
-        Err(Reject::DtypeMismatch) => err(format!(
-            "func {}: buffer dtype disagrees with an intrinsic's access type",
-            f.name
-        )),
-        Err(Reject::LenMismatch) => err(format!(
-            "func {}: intrinsic operand lengths disagree",
-            f.name
-        )),
-    }
+    // Plan-builder backstop: dtype and operand-arity agreement, bounds
+    // through the exact span decomposition the compiler uses, and the
+    // plan's fixed limits.
+    probe_func(f).map_err(|r| ValidateError(format!("func {}: {r}", f.name)))
 }
 
 fn walk_stmts(f: &Func, stmts: &[Stmt], vs: &mut VarState) -> Result<(), ValidateError> {
@@ -645,6 +629,77 @@ mod tests {
         f.params[0].dtype = DataType::I8;
         let e = validate_func(&f).unwrap_err();
         assert!(e.0.contains("dtype"), "{e}");
+    }
+
+    // The plan builder's limits are validation errors, so every
+    // validator-clean function compiles.
+
+    #[test]
+    fn rejects_more_vars_than_a_plan_holds() {
+        let f = io_func(
+            32,
+            vec![unary(
+                View::new(BufId::Param(0), 0usize, 4),
+                View::new(BufId::Param(1), 0usize, 4),
+            )],
+            crate::plan::MAX_VARS + 1,
+            vec![],
+        );
+        let e = validate_func(&f).unwrap_err();
+        assert!(e.0.contains("MAX_VARS"), "{e}");
+    }
+
+    #[test]
+    fn rejects_unbounded_offset() {
+        // v0 / v1 with v1 reaching 0: no interval bounds it
+        let (v0, v1) = (VarId(0), VarId(1));
+        let off = Expr::Div(Box::new(Expr::v(v0)), Box::new(Expr::v(v1)));
+        let f = io_func(
+            32,
+            vec![Stmt::loop_(
+                v0,
+                4,
+                vec![Stmt::loop_(
+                    v1,
+                    4,
+                    vec![unary(
+                        View::new(BufId::Param(0), off.clone(), 4),
+                        View::new(BufId::Param(1), off, 4),
+                    )],
+                )],
+            )],
+            2,
+            vec![],
+        );
+        let e = validate_func(&f).unwrap_err();
+        assert!(e.0.contains("cannot be bounded"), "{e}");
+    }
+
+    #[test]
+    fn rejects_offset_deeper_than_the_program_stack() {
+        // v0 % (1 + (1 + ... + 1)): bounded to [0, 7], but the
+        // right-nested divisor needs more than MAX_PROG_STACK slots
+        let v = VarId(0);
+        let mut divisor = Expr::c(1);
+        for _ in 0..crate::plan::MAX_PROG_STACK {
+            divisor = Expr::Add(Box::new(Expr::c(1)), Box::new(divisor));
+        }
+        let off = Expr::Rem(Box::new(Expr::v(v)), Box::new(divisor));
+        let f = io_func(
+            32,
+            vec![Stmt::loop_(
+                v,
+                8,
+                vec![unary(
+                    View::new(BufId::Param(0), off.clone(), 4),
+                    View::new(BufId::Param(1), off, 4),
+                )],
+            )],
+            1,
+            vec![],
+        );
+        let e = validate_func(&f).unwrap_err();
+        assert!(e.0.contains("MAX_PROG_STACK"), "{e}");
     }
 
     fn scratch(elems: usize, name: &str) -> GlobalDecl {

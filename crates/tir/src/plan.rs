@@ -1,10 +1,12 @@
-//! Flat execution plans: the compiled form of Tensor IR functions.
+//! Flat execution plans: the compiled form of Tensor IR functions, and
+//! the engine's only executor.
 //!
-//! The interpreter in [`crate::exec`] re-derives everything on every
-//! visit of every statement: view offsets re-walk [`crate::expr::Expr`]
-//! trees, brgemm calls rebuild their batch-offset tables, every slice is
-//! re-bounds-checked, and each parallel iteration clones the variable
-//! environment. A [`Plan`] performs that work once, at compile time —
+//! The reference walker in [`crate::exec`] re-derives everything on
+//! every visit of every statement: view offsets re-walk
+//! [`crate::expr::Expr`] trees, brgemm calls rebuild their batch-offset
+//! tables, every access is bounds-checked, and each parallel iteration
+//! clones the variable environment. A [`Plan`] performs that work once,
+//! at compile time —
 //! the reproduction's stand-in for the original system's LLVM `-O3`
 //! pipeline hoisting loop-invariant address arithmetic:
 //!
@@ -20,21 +22,22 @@
 //!   chunk copying one fixed-size variable scratch instead of cloning a
 //!   heap `Vec` per iteration.
 //!
-//! Functions the builder cannot prove safe (too many variables, offsets
-//! it cannot bound) stay on the interpreter — [`Plan::func`] returns
-//! `None` and the engine routes that call through [`crate::exec`].
+//! Compilation is total on validator-clean modules (see
+//! [`crate::compile_module`]): there is no per-function fallback. Both
+//! executors call the microkernels through the same
+//! [`crate::invoke`] layer.
 
-use crate::exec::{assert_disjoint, pack2d, pack2d_pad, unpack2d, unpack2d_clamp, RawBuf};
-use crate::ir::ReduceOp;
-use gc_microkernel::{brgemm, eltwise, epilogue, reduce, tail, BinaryOp, UnaryOp};
+use crate::invoke::{invoke, Env, RawBuf};
+pub use crate::invoke::{POp, PView};
 use gc_runtime::ThreadPool;
 use gc_tensor::{DataType, Storage};
 
-/// Maximum scalar variables a compiled function may use; the per-chunk
-/// variable scratch is a stack array of this size.
+/// Maximum scalar variables a function may use (the validator rejects
+/// more); the per-chunk variable scratch is a stack array of this size.
 pub const MAX_VARS: usize = 64;
 
-/// Maximum operand-stack depth of a postfix offset program.
+/// Maximum operand-stack depth of a postfix offset program (the
+/// validator rejects deeper offsets).
 pub const MAX_PROG_STACK: usize = 8;
 
 /// Options controlling how a compiled plan is executed.
@@ -127,39 +130,11 @@ fn eval_program(ops: &[OffsetOp], vars: &[i64; MAX_VARS]) -> i64 {
 }
 
 impl PlanOffset {
-    /// Evaluate against the current variable values.
-    ///
-    /// The plan builder proves every offset's interval lower bound is
-    /// `>= 0` before emitting it, so the `usize` conversions cannot
-    /// wrap for a well-formed plan; the debug assertions catch a
-    /// miscompiled plan before it turns into a silent wild read.
+    /// Evaluate against the current variable values. The plan builder
+    /// proves every offset non-negative; the executor debug-asserts it
+    /// (and checked execution asserts it) before indexing.
     #[inline]
-    pub fn eval(&self, vars: &[i64; MAX_VARS]) -> usize {
-        match self {
-            PlanOffset::Const(c) => {
-                debug_assert!(*c >= 0, "const plan offset is negative: {c}");
-                *c as usize
-            }
-            PlanOffset::Linear { base, terms } => {
-                let mut s = *base;
-                for &(v, stride) in terms.iter() {
-                    s += vars[v as usize] * stride;
-                }
-                debug_assert!(s >= 0, "linear plan offset evaluated negative: {s}");
-                s as usize
-            }
-            PlanOffset::Program(ops) => {
-                let s = eval_program(ops, vars);
-                debug_assert!(s >= 0, "program plan offset evaluated negative: {s}");
-                s as usize
-            }
-        }
-    }
-
-    /// Evaluate without converting to `usize`: checked execution wants
-    /// to see a negative offset as itself, not wrapped to a huge index.
-    #[inline]
-    pub fn eval_signed(&self, vars: &[i64; MAX_VARS]) -> i64 {
+    pub fn eval(&self, vars: &[i64; MAX_VARS]) -> i64 {
         match self {
             PlanOffset::Const(c) => *c,
             PlanOffset::Linear { base, terms } => {
@@ -172,214 +147,6 @@ impl PlanOffset {
             PlanOffset::Program(ops) => eval_program(ops, vars),
         }
     }
-
-    /// Whether the offset is loop-invariant.
-    pub fn is_const(&self) -> bool {
-        matches!(self, PlanOffset::Const(_))
-    }
-}
-
-/// A compiled view: flat buffer slot + compiled offset.
-#[derive(Debug, Clone, PartialEq)]
-pub struct PView {
-    /// Index into the call frame's flat buffer table (params then
-    /// locals).
-    pub buf: u32,
-    /// Compiled element offset.
-    pub offset: PlanOffset,
-    /// Window length in elements.
-    pub len: usize,
-}
-
-/// A compiled intrinsic: every view resolved to a [`PView`], every
-/// loop-invariant derived quantity precomputed.
-#[derive(Debug, Clone, PartialEq)]
-#[allow(missing_docs)] // field meanings mirror crate::ir::Intrinsic
-pub enum POp {
-    BrgemmF32 {
-        a: PView,
-        b: PView,
-        c: PView,
-        shape: brgemm::BrgemmShape,
-        /// Tile offsets relative to the A view base, one per batch
-        /// element — computed once at plan-build time.
-        a_rel: Box<[usize]>,
-        b_rel: Box<[usize]>,
-        /// Span of the A buffer touched by all tiles.
-        a_span: usize,
-        b_span: usize,
-    },
-    BrgemmU8I8 {
-        a: PView,
-        b: PView,
-        c: PView,
-        shape: brgemm::BrgemmShape,
-        a_rel: Box<[usize]>,
-        b_rel: Box<[usize]>,
-        a_span: usize,
-        b_span: usize,
-    },
-    FillF32 {
-        dst: PView,
-        value: f32,
-    },
-    ZeroI32 {
-        dst: PView,
-    },
-    Pack2D {
-        src_buf: u32,
-        src_offset: PlanOffset,
-        src_row_stride: usize,
-        src_col_stride: usize,
-        dst: PView,
-        rows: usize,
-        cols: usize,
-    },
-    Unpack2D {
-        src: PView,
-        dst_buf: u32,
-        dst_offset: PlanOffset,
-        dst_row_stride: usize,
-        dst_col_stride: usize,
-        rows: usize,
-        cols: usize,
-    },
-    Pack2DPad {
-        src_buf: u32,
-        src_offset: PlanOffset,
-        src_row_stride: usize,
-        src_col_stride: usize,
-        dst: PView,
-        rows: usize,
-        cols: usize,
-        row_base: PlanOffset,
-        row_logical: usize,
-        col_base: PlanOffset,
-        col_logical: usize,
-    },
-    Unpack2DClamp {
-        src: PView,
-        dst_buf: u32,
-        dst_offset: PlanOffset,
-        dst_row_stride: usize,
-        dst_col_stride: usize,
-        rows: usize,
-        cols: usize,
-        row_base: PlanOffset,
-        row_logical: usize,
-        col_base: PlanOffset,
-        col_logical: usize,
-    },
-    BrgemmF32Tail {
-        a: PView,
-        b: PView,
-        c: PView,
-        shape: brgemm::BrgemmShape,
-        a_rel: Box<[usize]>,
-        b_rel: Box<[usize]>,
-        a_span: usize,
-        b_span: usize,
-        m_base: PlanOffset,
-        m_logical: usize,
-    },
-    BrgemmU8I8Tail {
-        a: PView,
-        b: PView,
-        c: PView,
-        shape: brgemm::BrgemmShape,
-        a_rel: Box<[usize]>,
-        b_rel: Box<[usize]>,
-        a_span: usize,
-        b_span: usize,
-        m_base: PlanOffset,
-        m_logical: usize,
-    },
-    Unary {
-        op: UnaryOp,
-        src: PView,
-        dst: PView,
-    },
-    Binary {
-        op: BinaryOp,
-        a: PView,
-        b: PView,
-        dst: PView,
-    },
-    BinaryScalar {
-        op: BinaryOp,
-        a: PView,
-        scalar: f32,
-        dst: PView,
-    },
-    BinaryRowBcast {
-        op: BinaryOp,
-        a: PView,
-        b: PView,
-        dst: PView,
-        rows: usize,
-        cols: usize,
-    },
-    BinaryColBcast {
-        op: BinaryOp,
-        a: PView,
-        b: PView,
-        dst: PView,
-        rows: usize,
-        cols: usize,
-    },
-    ReduceRows {
-        op: ReduceOp,
-        src: PView,
-        acc: PView,
-        rows: usize,
-        cols: usize,
-        accumulate: bool,
-    },
-    DequantAcc {
-        acc: PView,
-        comp: PView,
-        a_zero: i32,
-        scale: f32,
-        bias: Option<PView>,
-        dst: PView,
-        rows: usize,
-        cols: usize,
-    },
-    QuantU8 {
-        src: PView,
-        dst: PView,
-        scale: f32,
-        zero_point: i32,
-    },
-    DequantU8 {
-        src: PView,
-        dst: PView,
-        scale: f32,
-        zero_point: i32,
-    },
-    DequantI8 {
-        src: PView,
-        dst: PView,
-        scale: f32,
-    },
-    CompAccumulate {
-        b_tile: PView,
-        comp: PView,
-        nb: usize,
-        kb: usize,
-    },
-    CastI32F32 {
-        src: PView,
-        dst: PView,
-    },
-    AddF32 {
-        src: PView,
-        dst: PView,
-    },
-    AddI32 {
-        src: PView,
-        dst: PView,
-    },
 }
 
 /// One flat-plan instruction. Loop bodies are the instruction range
@@ -426,10 +193,8 @@ pub struct PlanFunc {
 /// verify that hot-path work was actually hoisted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct PlanStats {
-    /// Functions compiled to plans.
+    /// Functions compiled to plans (every function of the module).
     pub compiled_funcs: usize,
-    /// Functions left on the interpreter.
-    pub interpreted_funcs: usize,
     /// View bounds checks verified at build time (none remain at run
     /// time).
     pub hoisted_bounds: usize,
@@ -437,27 +202,20 @@ pub struct PlanStats {
     pub linear_offsets: usize,
     /// Non-affine offsets compiled to postfix programs.
     pub program_offsets: usize,
-    /// brgemm batch-offset tables precomputed.
-    pub brgemm_tables: usize,
     /// Parallel loops demoted to serial because their total work is
     /// below the dispatch-worthiness threshold.
     pub serialized_loops: usize,
 }
 
-/// A compiled module: one optional [`PlanFunc`] per module function
-/// (`None` = interpreter fallback), plus build statistics.
+/// A compiled module: one [`PlanFunc`] per module function, plus build
+/// statistics.
 #[derive(Debug, Clone, Default)]
 pub struct Plan {
-    pub(crate) funcs: Vec<Option<PlanFunc>>,
+    pub(crate) funcs: Vec<PlanFunc>,
     pub(crate) stats: PlanStats,
 }
 
 impl Plan {
-    /// The compiled form of function `idx`, if the builder succeeded.
-    pub fn func(&self, idx: usize) -> Option<&PlanFunc> {
-        self.funcs.get(idx).and_then(Option::as_ref)
-    }
-
     /// Build statistics.
     pub fn stats(&self) -> PlanStats {
         self.stats
@@ -476,18 +234,16 @@ pub struct PlanScratch {
 }
 
 impl PlanScratch {
-    /// Preallocate locals for every compiled function of `plan`.
+    /// Preallocate locals for every function of `plan`.
     pub fn for_plan(plan: &Plan) -> PlanScratch {
         let locals = plan
             .funcs
             .iter()
-            .map(|f| match f {
-                Some(pf) => pf
-                    .locals
+            .map(|pf| {
+                pf.locals
                     .iter()
                     .map(|&(dt, elems)| Storage::zeros(dt, elems))
-                    .collect(),
-                None => Vec::new(),
+                    .collect()
             })
             .collect();
         PlanScratch {
@@ -510,11 +266,6 @@ fn zero_storage(s: &mut Storage) {
 
 /// Execute one compiled call: bind `args` (global indices) to the
 /// function's parameters, zero its locals, run the instruction stream.
-///
-/// # Panics
-///
-/// Panics if `func_idx` has no compiled plan (callers must check
-/// [`Plan::func`] and fall back to the interpreter).
 pub fn run_plan_call(
     plan: &Plan,
     func_idx: usize,
@@ -544,9 +295,7 @@ pub fn run_plan_call_opts(
     scratch: &mut PlanScratch,
     opts: ExecOptions,
 ) {
-    let pf = plan.funcs[func_idx]
-        .as_ref()
-        .expect("run_plan_call on interpreter-fallback function");
+    let pf = &plan.funcs[func_idx];
     scratch.bufs.clear();
     for &a in args {
         // Duplicate args share a Storage; RawBuf::of is a pure pointer
@@ -576,82 +325,30 @@ struct Ctx<'a> {
     checked: bool,
 }
 
-impl Ctx<'_> {
-    /// Resolve a view whose kernel touches exactly `v.len` elements.
-    #[inline]
-    fn resolve(&self, v: &PView, vars: &[i64; MAX_VARS]) -> (RawBuf, usize) {
-        self.resolve_span(v, v.len, vars)
-    }
-
-    /// Resolve a view whose kernel touches `span` elements from the
-    /// offset (brgemm tile tables, broadcast/reduce row blocks).
-    #[inline]
-    fn resolve_span(&self, v: &PView, span: usize, vars: &[i64; MAX_VARS]) -> (RawBuf, usize) {
-        let buf = self.bufs[v.buf as usize];
-        if self.checked {
-            let off = check_offset(&v.offset, v.buf, span, buf, vars);
-            return (buf, off);
-        }
-        (buf, v.offset.eval(vars))
-    }
-
-    /// Evaluate an axis-clamp base (a scalar index, not a buffer
-    /// offset); must be non-negative for a well-formed plan.
-    #[inline]
-    fn clamp_base(&self, off: &PlanOffset, vars: &[i64; MAX_VARS]) -> usize {
-        let s = off.eval_signed(vars);
-        if self.checked {
-            assert!(s >= 0, "checked exec: clamp base evaluated negative ({s})");
-        } else {
-            debug_assert!(s >= 0, "clamp base evaluated negative ({s})");
-        }
-        s.max(0) as usize
-    }
-
-    /// Resolve a raw (buffer, offset) pair — the strided side of
-    /// pack/unpack — whose kernel touches `span` elements.
-    #[inline]
-    fn resolve_raw(
-        &self,
-        buf_idx: u32,
-        offset: &PlanOffset,
-        span: usize,
-        vars: &[i64; MAX_VARS],
-    ) -> (RawBuf, usize) {
-        let buf = self.bufs[buf_idx as usize];
-        if self.checked {
-            let off = check_offset(offset, buf_idx, span, buf, vars);
-            return (buf, off);
-        }
-        (buf, offset.eval(vars))
-    }
+/// The plan executor's [`Env`]: the call frame plus the variable
+/// scratch at the current loop position.
+struct PlanEnv<'a> {
+    ctx: &'a Ctx<'a>,
+    vars: &'a [i64; MAX_VARS],
 }
 
-/// Checked-mode offset resolution: panic (rather than wrap or read out
-/// of bounds) when an evaluated offset escapes its buffer.
-#[cold]
-fn check_offset(
-    offset: &PlanOffset,
-    buf_idx: u32,
-    span: usize,
-    buf: RawBuf,
-    vars: &[i64; MAX_VARS],
-) -> usize {
-    let s = offset.eval_signed(vars);
-    assert!(
-        s >= 0,
-        "checked exec: offset of buffer slot {buf_idx} evaluated negative ({s})"
-    );
-    let off = s as usize;
-    let end = off
-        .checked_add(span)
-        .unwrap_or_else(|| panic!("checked exec: offset {off} + span {span} overflows"));
-    assert!(
-        end <= buf.elems(),
-        "checked exec: access [{off}, {end}) escapes buffer slot {buf_idx} ({} elems)",
-        buf.elems()
-    );
-    off
+impl Env for PlanEnv<'_> {
+    type Off = PlanOffset;
+
+    #[inline]
+    fn buf(&self, slot: u32) -> RawBuf {
+        self.ctx.bufs[slot as usize]
+    }
+
+    #[inline]
+    fn eval(&self, off: &PlanOffset) -> i64 {
+        off.eval(self.vars)
+    }
+
+    #[inline]
+    fn checked(&self) -> bool {
+        self.ctx.checked
+    }
 }
 
 fn run_range(
@@ -685,8 +382,8 @@ fn run_range(
                     let var = *var as usize;
                     let body_end = *body_end;
                     // One stack copy of the variable scratch per chunk —
-                    // this replaces the interpreter's per-iteration
-                    // `Vec` clone.
+                    // this replaces the reference walker's
+                    // per-iteration `Vec` clone.
                     let proto: [i64; MAX_VARS] = *vars;
                     ctx.pool
                         .parallel_for_grained(extent, *grain, |start, stop| {
@@ -705,483 +402,8 @@ fn run_range(
                 pc = *body_end;
             }
             PInstr::Op(op) => {
-                exec_pop(op, ctx, vars);
+                invoke(op, &PlanEnv { ctx, vars });
                 pc += 1;
-            }
-        }
-    }
-}
-
-#[allow(clippy::too_many_lines)]
-fn exec_pop(op: &POp, ctx: &Ctx<'_>, vars: &[i64; MAX_VARS]) {
-    match op {
-        POp::BrgemmF32 {
-            a,
-            b,
-            c,
-            shape,
-            a_rel,
-            b_rel,
-            a_span,
-            b_span,
-        } => {
-            let (ab, ao) = ctx.resolve_span(a, *a_span, vars);
-            let (bb, bo) = ctx.resolve_span(b, *b_span, vars);
-            let (cb, co) = ctx.resolve_span(c, shape.c_len(), vars);
-            unsafe {
-                let asl = ab.f32(ao, *a_span);
-                let bsl = bb.f32(bo, *b_span);
-                let csl = cb.f32(co, shape.c_len());
-                brgemm::brgemm_f32(*shape, asl, a_rel, bsl, b_rel, csl);
-            }
-        }
-        POp::BrgemmU8I8 {
-            a,
-            b,
-            c,
-            shape,
-            a_rel,
-            b_rel,
-            a_span,
-            b_span,
-        } => {
-            let (ab, ao) = ctx.resolve_span(a, *a_span, vars);
-            let (bb, bo) = ctx.resolve_span(b, *b_span, vars);
-            let (cb, co) = ctx.resolve_span(c, shape.c_len(), vars);
-            unsafe {
-                let asl = ab.u8(ao, *a_span);
-                let bsl = bb.i8(bo, *b_span);
-                let csl = cb.i32(co, shape.c_len());
-                brgemm::brgemm_u8i8(*shape, asl, a_rel, bsl, b_rel, csl);
-            }
-        }
-        POp::FillF32 { dst, value } => {
-            let (db, off) = ctx.resolve(dst, vars);
-            unsafe { db.f32(off, dst.len) }.fill(*value);
-        }
-        POp::ZeroI32 { dst } => {
-            let (db, off) = ctx.resolve(dst, vars);
-            unsafe { db.i32(off, dst.len) }.fill(0);
-        }
-        POp::Pack2D {
-            src_buf,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-        } => {
-            let src_span = (rows - 1) * src_row_stride + (cols - 1) * src_col_stride + 1;
-            let (sb, so) = ctx.resolve_raw(*src_buf, src_offset, src_span, vars);
-            let (db, doff) = ctx.resolve_span(dst, rows * cols, vars);
-            pack2d(
-                sb,
-                so,
-                *src_row_stride,
-                *src_col_stride,
-                db,
-                doff,
-                *rows,
-                *cols,
-            );
-        }
-        POp::Unpack2D {
-            src,
-            dst_buf,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-        } => {
-            let (sb, so) = ctx.resolve_span(src, rows * cols, vars);
-            let dst_span = (rows - 1) * dst_row_stride + (cols - 1) * dst_col_stride + 1;
-            let (db, doff) = ctx.resolve_raw(*dst_buf, dst_offset, dst_span, vars);
-            unpack2d(
-                sb,
-                so,
-                db,
-                doff,
-                *dst_row_stride,
-                *dst_col_stride,
-                *rows,
-                *cols,
-            );
-        }
-        POp::Pack2DPad {
-            src_buf,
-            src_offset,
-            src_row_stride,
-            src_col_stride,
-            dst,
-            rows,
-            cols,
-            row_base,
-            row_logical,
-            col_base,
-            col_logical,
-        } => {
-            let rb = ctx.clamp_base(row_base, vars);
-            let cb = ctx.clamp_base(col_base, vars);
-            let avail_r = row_logical.saturating_sub(rb).min(*rows);
-            let avail_c = col_logical.saturating_sub(cb).min(*cols);
-            // base-excluded static span capped by the logical extents
-            let src_span = row_logical.saturating_sub(1) * src_row_stride
-                + col_logical.saturating_sub(1) * src_col_stride
-                + 1;
-            let (sb, so) = ctx.resolve_raw(*src_buf, src_offset, src_span, vars);
-            let (db, doff) = ctx.resolve_span(dst, rows * cols, vars);
-            pack2d_pad(
-                sb,
-                so + rb * src_row_stride + cb * src_col_stride,
-                *src_row_stride,
-                *src_col_stride,
-                db,
-                doff,
-                *rows,
-                *cols,
-                avail_r,
-                avail_c,
-            );
-        }
-        POp::Unpack2DClamp {
-            src,
-            dst_buf,
-            dst_offset,
-            dst_row_stride,
-            dst_col_stride,
-            rows,
-            cols,
-            row_base,
-            row_logical,
-            col_base,
-            col_logical,
-        } => {
-            let rb = ctx.clamp_base(row_base, vars);
-            let cb = ctx.clamp_base(col_base, vars);
-            let avail_r = row_logical.saturating_sub(rb).min(*rows);
-            let avail_c = col_logical.saturating_sub(cb).min(*cols);
-            let (sb, so) = ctx.resolve_span(src, rows * cols, vars);
-            let dst_span = row_logical.saturating_sub(1) * dst_row_stride
-                + col_logical.saturating_sub(1) * dst_col_stride
-                + 1;
-            let (db, doff) = ctx.resolve_raw(*dst_buf, dst_offset, dst_span, vars);
-            unpack2d_clamp(
-                sb,
-                so,
-                db,
-                doff + rb * dst_row_stride + cb * dst_col_stride,
-                *dst_row_stride,
-                *dst_col_stride,
-                *cols,
-                avail_r,
-                avail_c,
-            );
-        }
-        POp::BrgemmF32Tail {
-            a,
-            b,
-            c,
-            shape,
-            a_rel,
-            b_rel,
-            a_span,
-            b_span,
-            m_base,
-            m_logical,
-        } => {
-            let mb = ctx.clamp_base(m_base, vars);
-            let m_eff = m_logical.saturating_sub(mb).min(shape.m);
-            if m_eff == 0 {
-                return;
-            }
-            let (ab, ao) = ctx.resolve_span(a, *a_span, vars);
-            let (bb, bo) = ctx.resolve_span(b, *b_span, vars);
-            let (cb, co) = ctx.resolve_span(c, shape.c_len(), vars);
-            unsafe {
-                let asl = ab.f32(ao, *a_span);
-                let bsl = bb.f32(bo, *b_span);
-                let csl = cb.f32(co, m_eff * shape.n);
-                tail::brgemm_f32_m_tail(*shape, m_eff, asl, a_rel, bsl, b_rel, csl);
-            }
-        }
-        POp::BrgemmU8I8Tail {
-            a,
-            b,
-            c,
-            shape,
-            a_rel,
-            b_rel,
-            a_span,
-            b_span,
-            m_base,
-            m_logical,
-        } => {
-            let mb = ctx.clamp_base(m_base, vars);
-            let m_eff = m_logical.saturating_sub(mb).min(shape.m);
-            if m_eff == 0 {
-                return;
-            }
-            let (ab, ao) = ctx.resolve_span(a, *a_span, vars);
-            let (bb, bo) = ctx.resolve_span(b, *b_span, vars);
-            let (cb, co) = ctx.resolve_span(c, shape.c_len(), vars);
-            unsafe {
-                let asl = ab.u8(ao, *a_span);
-                let bsl = bb.i8(bo, *b_span);
-                let csl = cb.i32(co, m_eff * shape.n);
-                tail::brgemm_u8i8_m_tail(*shape, m_eff, asl, a_rel, bsl, b_rel, csl);
-            }
-        }
-        POp::Unary { op, src, dst } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            if sb.ptr == db.ptr && so == doff {
-                let buf = unsafe { db.f32(doff, dst.len) };
-                eltwise::unary_inplace(*op, buf);
-            } else {
-                assert_disjoint((sb, so, src.len), (db, doff, dst.len));
-                unsafe {
-                    eltwise::unary(*op, sb.f32(so, src.len), db.f32(doff, dst.len));
-                }
-            }
-        }
-        POp::Binary { op, a, b, dst } => {
-            let (ab, ao) = ctx.resolve(a, vars);
-            let (bb, bo) = ctx.resolve(b, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            assert_disjoint((bb, bo, b.len), (db, doff, dst.len));
-            if ab.ptr == db.ptr && ao == doff {
-                unsafe {
-                    let dsl = db.f32(doff, dst.len);
-                    let bsl = bb.f32(bo, b.len);
-                    for (d, &y) in dsl.iter_mut().zip(bsl.iter()) {
-                        *d = op.apply(*d, y);
-                    }
-                }
-            } else {
-                assert_disjoint((ab, ao, a.len), (db, doff, dst.len));
-                unsafe {
-                    eltwise::binary(
-                        *op,
-                        ab.f32(ao, a.len),
-                        bb.f32(bo, b.len),
-                        db.f32(doff, dst.len),
-                    );
-                }
-            }
-        }
-        POp::BinaryScalar { op, a, scalar, dst } => {
-            let (ab, ao) = ctx.resolve(a, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            if ab.ptr == db.ptr && ao == doff {
-                let dsl = unsafe { db.f32(doff, dst.len) };
-                for d in dsl.iter_mut() {
-                    *d = op.apply(*d, *scalar);
-                }
-            } else {
-                assert_disjoint((ab, ao, a.len), (db, doff, dst.len));
-                unsafe {
-                    eltwise::binary_scalar(*op, ab.f32(ao, a.len), *scalar, db.f32(doff, dst.len));
-                }
-            }
-        }
-        POp::BinaryRowBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => {
-            let (ab, ao) = ctx.resolve_span(a, rows * cols, vars);
-            let (bb, bo) = ctx.resolve_span(b, *cols, vars);
-            let (db, doff) = ctx.resolve_span(dst, rows * cols, vars);
-            unsafe {
-                let bsl = bb.f32(bo, *cols);
-                for r in 0..*rows {
-                    let arow = ab.f32(ao + r * cols, *cols);
-                    let drow = db.f32(doff + r * cols, *cols);
-                    for ((d, &x), &y) in drow.iter_mut().zip(arow.iter()).zip(bsl.iter()) {
-                        *d = op.apply(x, y);
-                    }
-                }
-            }
-        }
-        POp::BinaryColBcast {
-            op,
-            a,
-            b,
-            dst,
-            rows,
-            cols,
-        } => {
-            let (ab, ao) = ctx.resolve_span(a, rows * cols, vars);
-            let (bb, bo) = ctx.resolve_span(b, *rows, vars);
-            let (db, doff) = ctx.resolve_span(dst, rows * cols, vars);
-            unsafe {
-                let bsl = bb.f32(bo, *rows);
-                for (r, &y) in bsl.iter().enumerate() {
-                    let arow = ab.f32(ao + r * cols, *cols);
-                    let drow = db.f32(doff + r * cols, *cols);
-                    match op {
-                        BinaryOp::Div => {
-                            let inv = 1.0 / y;
-                            for (d, &x) in drow.iter_mut().zip(arow.iter()) {
-                                *d = x * inv;
-                            }
-                        }
-                        _ => {
-                            for (d, &x) in drow.iter_mut().zip(arow.iter()) {
-                                *d = op.apply(x, y);
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        POp::ReduceRows {
-            op,
-            src,
-            acc,
-            rows,
-            cols,
-            accumulate,
-        } => {
-            let (sb, so) = ctx.resolve_span(src, rows * cols, vars);
-            let (accb, acco) = ctx.resolve_span(acc, *rows, vars);
-            unsafe {
-                let ssl = sb.f32(so, rows * cols);
-                let asl = accb.f32(acco, *rows);
-                match (op, accumulate) {
-                    (ReduceOp::Max, false) => reduce::reduce_rows_max(ssl, *rows, *cols, asl),
-                    (ReduceOp::Sum, false) => reduce::reduce_rows_sum(ssl, *rows, *cols, asl),
-                    (ReduceOp::Max, true) => {
-                        for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(*cols)) {
-                            let m = reduce::reduce_max(row);
-                            if m > *a {
-                                *a = m;
-                            }
-                        }
-                    }
-                    (ReduceOp::Sum, true) => {
-                        for (a, row) in asl.iter_mut().zip(ssl.chunks_exact(*cols)) {
-                            *a += reduce::reduce_sum(row);
-                        }
-                    }
-                }
-            }
-        }
-        POp::DequantAcc {
-            acc,
-            comp,
-            a_zero,
-            scale,
-            bias,
-            dst,
-            rows,
-            cols,
-        } => {
-            let (accb, acco) = ctx.resolve_span(acc, rows * cols, vars);
-            let (compb, compo) = ctx.resolve_span(comp, *cols, vars);
-            let (db, doff) = ctx.resolve_span(dst, rows * cols, vars);
-            unsafe {
-                let asl = accb.i32(acco, rows * cols);
-                let csl = compb.i32(compo, *cols);
-                let dsl = db.f32(doff, rows * cols);
-                match bias {
-                    Some(bv) => {
-                        let (bb, bo) = ctx.resolve_span(bv, *cols, vars);
-                        let bsl = bb.f32(bo, *cols);
-                        epilogue::dequant_acc_bias(
-                            asl, *rows, *cols, csl, *a_zero, *scale, bsl, dsl,
-                        );
-                    }
-                    None => epilogue::dequant_acc(asl, *rows, *cols, csl, *a_zero, *scale, dsl),
-                }
-            }
-        }
-        POp::QuantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            unsafe {
-                epilogue::requant_u8(
-                    sb.f32(so, src.len),
-                    1.0 / *scale,
-                    *zero_point,
-                    db.u8(doff, dst.len),
-                );
-            }
-        }
-        POp::DequantU8 {
-            src,
-            dst,
-            scale,
-            zero_point,
-        } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            unsafe {
-                let ssl = sb.u8(so, src.len);
-                let dsl = db.f32(doff, dst.len);
-                for (d, &q) in dsl.iter_mut().zip(ssl.iter()) {
-                    *d = *scale * (q as i32 - zero_point) as f32;
-                }
-            }
-        }
-        POp::DequantI8 { src, dst, scale } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            unsafe {
-                let ssl = sb.i8(so, src.len);
-                let dsl = db.f32(doff, dst.len);
-                for (d, &q) in dsl.iter_mut().zip(ssl.iter()) {
-                    *d = *scale * q as f32;
-                }
-            }
-        }
-        POp::CompAccumulate {
-            b_tile,
-            comp,
-            nb,
-            kb,
-        } => {
-            let (bb, bo) = ctx.resolve_span(b_tile, nb * kb, vars);
-            let (cb, co) = ctx.resolve_span(comp, *nb, vars);
-            unsafe {
-                let bsl = bb.i8(bo, nb * kb);
-                let csl = cb.i32(co, *nb);
-                for (c, panel) in csl.iter_mut().zip(bsl.chunks_exact(*kb)) {
-                    *c += panel.iter().map(|&x| x as i32).sum::<i32>();
-                }
-            }
-        }
-        POp::CastI32F32 { src, dst } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            unsafe {
-                epilogue::i32_to_f32(sb.i32(so, src.len), db.f32(doff, dst.len));
-            }
-        }
-        POp::AddF32 { src, dst } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            assert_disjoint((sb, so, src.len), (db, doff, dst.len));
-            unsafe {
-                eltwise::acc_add_f32(sb.f32(so, src.len), db.f32(doff, dst.len));
-            }
-        }
-        POp::AddI32 { src, dst } => {
-            let (sb, so) = ctx.resolve(src, vars);
-            let (db, doff) = ctx.resolve(dst, vars);
-            assert_disjoint((sb, so, src.len), (db, doff, dst.len));
-            unsafe {
-                eltwise::acc_add_i32(sb.i32(so, src.len), db.i32(doff, dst.len));
             }
         }
     }

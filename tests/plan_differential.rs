@@ -136,3 +136,80 @@ fn interpret_mode_is_reported() {
     let p = compile(g, 1, false);
     assert_eq!(p.executable().mode(), gc_tir::ExecMode::Compiled);
 }
+
+/// Fold `graph`'s init stage on one executor and return the globals it
+/// leaves behind (read back through a private init cache), plus the
+/// compile report.
+fn folded_globals(
+    graph: Graph,
+    interpret: bool,
+) -> (std::sync::Arc<Vec<Storage>>, gc_core::CompileReport) {
+    use std::sync::Arc;
+    let mut opts = CompileOptions::new(MachineDescriptor::xeon_8358());
+    opts.threads = Some(2);
+    opts.interpret = interpret;
+    let arts = Compiler::new(opts)
+        .compile_artifacts(graph, Arc::new(gc_runtime::ThreadPool::new(2)))
+        .expect("compile");
+    assert!(
+        !arts.exe.module().init_calls.is_empty(),
+        "graph must have an init stage"
+    );
+    let cache = Arc::new(gc_tir::InitCache::new());
+    let exe = arts.exe.with_init_cache(Arc::clone(&cache), 0);
+    let inputs: Vec<Tensor> = arts
+        .input_descs
+        .iter()
+        .enumerate()
+        .map(|(i, d)| Tensor::random(d.shape(), d.dtype(), 11 + i as u64))
+        .collect();
+    exe.execute(&inputs).expect("execute");
+    assert_eq!(cache.compute_count(), 1);
+    let folded = cache.get_or_init(0, || unreachable!("init stage already ran"));
+    (folded, arts.report)
+}
+
+/// The init stage runs on compiled plans: the globals it folds (packed
+/// weights, compensations) must equal the reference walker's bit for bit.
+fn init_parity(build: impl Fn() -> Graph) -> gc_core::CompileReport {
+    let (plan, report) = folded_globals(build(), false);
+    let (reference, _) = folded_globals(build(), true);
+    assert_eq!(plan.len(), reference.len());
+    for (gi, (p, r)) in plan.iter().zip(reference.iter()).enumerate() {
+        assert_eq!(p.dtype(), r.dtype(), "global {gi}");
+        assert_eq!(p.len(), r.len(), "global {gi}");
+        for i in 0..p.len() {
+            assert_eq!(
+                p.get_as_f64(i).to_bits(),
+                r.get_as_f64(i).to_bits(),
+                "global {gi}[{i}]"
+            );
+        }
+    }
+    report
+}
+
+#[test]
+fn init_stage_plan_matches_reference_int8_mlp1() {
+    init_parity(|| workloads::mlp_int8(16, &workloads::mlp1_layers(), 9));
+}
+
+#[test]
+fn init_stage_plan_matches_reference_ragged() {
+    // k = 479 (prime) and n = 65: weight packing pads ragged edge tiles
+    let report = init_parity(|| {
+        let mut g = Graph::new();
+        let x = g.add_input(
+            gc_tensor::TensorDesc::new([17, 479], gc_tensor::DataType::F32),
+            "x",
+        );
+        let w = g.add_constant(
+            Tensor::random(&[479, 65], gc_tensor::DataType::F32, 12),
+            "w",
+        );
+        let y = g.add_op(gc_graph::OpKind::MatMul, &[x, w]).unwrap();
+        g.mark_output(y);
+        g
+    });
+    assert!(report.ragged_partitions > 0, "{report:?}");
+}

@@ -314,7 +314,7 @@ proptest! {
 
         let plan = compile_module(&m, 1);
         prop_assert!(
-            plan.func(f).is_some(),
+            plan.stats().compiled_funcs == m.funcs.len(),
             "plan builder rejected a bounded random nest (seed {seed})"
         );
 
